@@ -14,7 +14,6 @@ from .fock import (
     Ensemble,
     FeedForwardError,
     ModeMismatchError,
-    Occupancy,
     OutcomeEvent,
     PureState,
     SimulatorError,
@@ -46,8 +45,10 @@ from .detection import (
     pid_split,
 )
 from .gadgets import (
+    A2C_RULES,
     B2G_RULES,
     CZ_RULES,
+    ECC_RULES,
     G2A_RULES,
     GadgetResult,
     PipelineResult,
@@ -67,6 +68,7 @@ from .oracle import (
     enumerate_exact,
     fidelity,
     match_up_to_phase,
+    outcome_rows,
     verify_all_tables,
     verify_table,
 )

@@ -111,10 +111,7 @@ class RunReport:
 
 
 def _load_state(path: str) -> PureState:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise exc
+    text = Path(path).read_text()
     try:
         return PureState.from_json(text)
     except (KeyError, TypeError, ValueError, SimulatorError) as exc:
@@ -124,8 +121,6 @@ def _load_state(path: str) -> PureState:
 def _load_circuit(path: str) -> list[ElementDescriptor]:
     try:
         data = json.loads(Path(path).read_text())
-    except OSError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"malformed circuit JSON in {path}: {exc}") from exc
     if not isinstance(data, list):
@@ -134,10 +129,6 @@ def _load_circuit(path: str) -> list[ElementDescriptor]:
         return [ElementDescriptor.from_json_dict(d, one_based=True) for d in data]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad element descriptor: {exc}") from exc
-
-
-def _aggregate_outcomes(rows: list[oracle.OutcomeRow]) -> list[tuple[str, str, float]]:
-    return oracle.aggregate_probabilities(rows)
 
 
 def _sample_outcomes(
@@ -159,8 +150,9 @@ def _sample_outcomes(
 
 
 def _gadget_report(config: ExperimentConfig, input_state: PureState | None) -> RunReport:
-    rows = oracle.enumerate_exact(config.experiment, input_state)
-    aggregated = _aggregate_outcomes(rows)
+    result = oracle.GADGETS[config.experiment](input_state)
+    rows = oracle.outcome_rows(result.ensemble)
+    aggregated = oracle.aggregate_probabilities(rows)
     keep_probability = sum(p for _, d, p in aggregated if d == "keep")
 
     extras: dict = {}
@@ -178,7 +170,6 @@ def _gadget_report(config: ExperimentConfig, input_state: PureState | None) -> R
         extras["keep_probability"] = keep_probability
         success = pure_ghz
     elif config.experiment == "pipeline":
-        result = oracle.GADGETS["pipeline"](input_state)
         extras["ancilla_probability"] = result.ancilla_probability
 
     report = RunReport(

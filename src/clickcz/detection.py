@@ -10,7 +10,7 @@ detection destroys coherence between photon-number sectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .elements import ElementDescriptor, apply_circuit, apply_pbs, apply_pr
@@ -139,23 +139,26 @@ FeedForwardRule = Mapping[str, RuleAction]
 
 
 def apply_feed_forward(ensemble: Ensemble, rules: FeedForwardRule) -> Ensemble:
-    """Apply per-label corrective elements and dispositions to fresh branches.
+    """Apply per-outcome corrective elements and dispositions to fresh branches.
 
-    Every branch's most recent outcome label must have a rule; an unmatched
-    label is a hard error rather than a silent keep.
+    A branch is looked up by its outcome labels joined without a separator:
+    one label for a single readout (``"Hn0"``), two for a joint one
+    (``"13"``). Stages apply their rules before ``Ensemble.then`` prefixes
+    the parent's record, so a record holds only the stage's own readout.
+    The action's disposition goes on every event of that readout. An
+    outcome with no rule is a hard error rather than a silent keep.
     """
     out: list[Branch] = []
     for branch in ensemble.branches:
-        label = branch.record[-1].label
-        action = rules.get(label)
+        key = "".join(e.label for e in branch.record)
+        action = rules.get(key)
         if action is None:
-            raise FeedForwardError(f"no feed-forward rule for outcome {label!r}")
+            raise FeedForwardError(f"no feed-forward rule for outcome {key!r}")
         state = branch.state
         if action.disposition == "keep" and action.elements:
             state = apply_circuit(state, action.elements)
-        out.append(
-            branch.with_state(state).with_last_disposition(action.disposition)
-        )
+        record = tuple(replace(e, disposition=action.disposition) for e in branch.record)
+        out.append(Branch(branch.weight, state, record))
     return Ensemble(tuple(out))
 
 

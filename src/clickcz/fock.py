@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_PHOTON_CAP = 8
 PRUNE_EPS = 1e-14
@@ -38,17 +38,6 @@ class ConsistencyError(SimulatorError):
     """A click pattern or reference check is internally impossible."""
 
 
-class Occupancy(NamedTuple):
-    """Photon count per polarization rail of one spatial mode."""
-
-    n_h: int
-    n_v: int
-
-    @property
-    def total(self) -> int:
-        return self.n_h + self.n_v
-
-
 # A basis vector is a tuple of (n_h, n_v) pairs, one per spatial mode.
 FockVector = tuple[tuple[int, int], ...]
 
@@ -72,9 +61,8 @@ class PureState:
     """Sparse pure state: mapping from basis vectors to complex amplitudes.
 
     May be sub-normalized (or super-normalized, e.g. right after a raw
-    creation operator); gadget entry points check normalization explicitly.
-    Amplitudes below the prune threshold are dropped so that interference
-    cancellation cannot leave phantom terms behind.
+    creation operator). Amplitudes below the prune threshold are dropped so
+    that interference cancellation cannot leave phantom terms behind.
     """
 
     __slots__ = ("modes", "photon_cap", "_amps")
@@ -305,15 +293,6 @@ class Branch:
         """Joined outcome labels, e.g. ``'Hn0'`` or ``'3+1'`` for two sites."""
         return "+".join(e.label for e in self.record) if self.record else ""
 
-    def with_state(self, state: PureState) -> "Branch":
-        return replace(self, state=state)
-
-    def with_last_disposition(self, disposition: str) -> "Branch":
-        if not self.record:
-            raise ValueError("branch has no recorded events")
-        new_last = replace(self.record[-1], disposition=disposition)
-        return replace(self, record=self.record[:-1] + (new_last,))
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -333,17 +312,27 @@ class Ensemble:
     def keep_weight(self) -> float:
         return sum(b.weight for b in self.branches if b.disposition == "keep")
 
-    @property
-    def discard_weight(self) -> float:
-        return sum(b.weight for b in self.branches if b.disposition == "discard")
-
     def kept(self) -> tuple[Branch, ...]:
         return tuple(b for b in self.branches if b.disposition == "keep")
 
-    def map_branches(self, fn: Callable[[Branch], Iterable[Branch]]) -> "Ensemble":
+    def then(self, stage: Callable[[PureState], "Ensemble"]) -> "Ensemble":
+        """Chain a heralded stage onto every kept branch.
+
+        ``stage`` maps a state to an ensemble (or to anything holding one as
+        ``.ensemble``). Each kept parent becomes one branch per stage branch,
+        with weights multiplied and records concatenated; discarded parents
+        pass through unchanged.
+        """
         out: list[Branch] = []
-        for branch in self.branches:
-            out.extend(fn(branch))
+        for parent in self.branches:
+            if parent.disposition == "discard":
+                out.append(parent)
+                continue
+            sub = stage(parent.state)
+            for b in getattr(sub, "ensemble", sub).branches:
+                out.append(
+                    Branch(parent.weight * b.weight, b.state, parent.record + b.record)
+                )
         return Ensemble(tuple(out))
 
     def combine(self, other: "Ensemble") -> "Ensemble":

@@ -10,45 +10,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import states
 from .detection import RuleAction, apply_feed_forward, measure_nr, pid, pid_split
-from .elements import (
-    ElementDescriptor,
-    apply_circuit,
-    apply_bs,
-    apply_pbs,
-    apply_pdps,
-    apply_pr,
-    pdps,
-    pr,
-    ps,
-)
-from .fock import Branch, Ensemble, FeedForwardError, PureState
+from .elements import apply_bs, apply_pbs, apply_pdps, apply_pr, pdps, pr, ps
+from .fock import Branch, Ensemble, PureState
 
 PI = math.pi
 
 
-def _all_keep(branch: Branch) -> bool:
-    return branch.disposition == "keep"
-
-
 @dataclass(frozen=True)
 class GadgetResult:
-    """Ensemble of branches plus the predicate defining heralded success."""
+    """All branches of a gadget run; heralded success is the kept ones."""
 
     ensemble: Ensemble
-    success_predicate: Callable[[Branch], bool] = _all_keep
 
     @property
     def success_probability(self) -> float:
-        return sum(
-            b.weight for b in self.ensemble.branches if self.success_predicate(b)
-        )
+        return self.ensemble.keep_weight
 
     def success_branches(self) -> tuple[Branch, ...]:
-        return tuple(b for b in self.ensemble.branches if self.success_predicate(b))
+        return self.ensemble.kept()
 
 
 # -- Bell pairs to a partial GHZ mixture ----------------------------------------
@@ -101,7 +84,13 @@ def ecc_optics(
     return out, (mode_a, mode_b, rail_va, rail_vb)
 
 
-_ECC_KEEP = frozenset({"3", "4", "5", "6"})
+ECC_RULES = {
+    **{label: RuleAction() for label in ("3", "4", "5", "6")},
+    **{
+        label: RuleAction(disposition="discard")
+        for label in ("1", "2", "one-click", "silent")
+    },
+}
 
 
 def ecc(state: PureState, mode_a: int, mode_b: int, site: str = "ecc") -> Ensemble:
@@ -113,11 +102,7 @@ def ecc(state: PureState, mode_a: int, mode_b: int, site: str = "ecc") -> Ensemb
     """
     pre, rails = ecc_optics(state, mode_a, mode_b)
     measured = measure_nr(pre, rails, site=site, site_kind="fusion")
-    out = []
-    for branch in measured.branches:
-        disposition = "keep" if branch.record[-1].label in _ECC_KEEP else "discard"
-        out.append(branch.with_last_disposition(disposition))
-    return Ensemble(tuple(out))
+    return apply_feed_forward(measured, ECC_RULES)
 
 
 # -- GHZ pair to the four-qubit gate ancilla ------------------------------------
@@ -130,15 +115,13 @@ _G2A_CONVERSION = (
     pdps(2, -PI / 2),
 )
 
+# The filter's discards stand; kept outcomes are steered onto the ancilla.
 G2A_RULES = {
+    **ECC_RULES,
     "5": RuleAction(elements=(pdps(1, PI), pdps(2, PI)) + _G2A_CONVERSION),
     "6": RuleAction(elements=(pdps(1, PI), pdps(2, PI)) + _G2A_CONVERSION),
     "3": RuleAction(elements=(ps(0, PI / 2),) + _G2A_CONVERSION),
     "4": RuleAction(elements=(ps(0, PI / 2),) + _G2A_CONVERSION),
-    "one-click": RuleAction(disposition="discard"),
-    "silent": RuleAction(disposition="discard"),
-    "1": RuleAction(disposition="discard"),
-    "2": RuleAction(disposition="discard"),
 }
 
 
@@ -153,26 +136,30 @@ def g2a(input_ensemble: Ensemble | PureState, site: str = "g2a") -> GadgetResult
     if isinstance(input_ensemble, PureState):
         input_ensemble = Ensemble.pure(input_ensemble)
 
-    out: list[Branch] = []
-    for parent in input_ensemble.branches:
-        if parent.disposition == "discard":
-            out.append(parent)
-            continue
-        if parent.state.modes != 6:
+    def convert(registers: PureState) -> Ensemble:
+        if registers.modes != 6:
             raise ValueError("ancilla conversion expects 6-mode registers")
-        filtered = apply_feed_forward(
-            ecc(parent.state, 1, 4, site=f"{site}/ecc"), G2A_RULES
-        )
-        for sub in filtered.branches:
-            out.append(
-                Branch(parent.weight * sub.weight, sub.state, parent.record + sub.record)
-            )
-    return GadgetResult(Ensemble(tuple(out)))
+        return apply_feed_forward(ecc(registers, 1, 4, site=f"{site}/ecc"), G2A_RULES)
+
+    return GadgetResult(input_ensemble.then(convert))
 
 
 # -- fusion of a computational rail with an ancilla rail -------------------------
 
-_A2C_KEEP = frozenset({"1", "2", "3", "4", "5", "6"})
+A2C_RULES = {
+    **{label: RuleAction() for label in ("1", "2", "3", "4", "5", "6")},
+    "one-click": RuleAction(disposition="discard"),
+    "silent": RuleAction(disposition="discard"),
+}
+
+
+def _a2c_readout(state: PureState, mode_x: int, mode_y: int, site: str) -> Ensemble:
+    mixed = apply_bs(state, mode_x, mode_y)
+    split, rail_vx = pid_split(mixed, mode_x)
+    split, rail_vy = pid_split(split, mode_y)
+    return measure_nr(
+        split, (mode_x, mode_y, rail_vx, rail_vy), site=site, site_kind="fusion"
+    )
 
 
 def a2c(state: PureState, mode_x: int, mode_y: int, site: str = "a2c") -> Ensemble:
@@ -181,17 +168,7 @@ def a2c(state: PureState, mode_x: int, mode_y: int, site: str = "a2c") -> Ensemb
     Exactly two clicks herald success; a single click means the photons
     bunched and the attempt is discarded.
     """
-    mixed = apply_bs(state, mode_x, mode_y)
-    split, rail_vx = pid_split(mixed, mode_x)
-    split, rail_vy = pid_split(split, mode_y)
-    measured = measure_nr(
-        split, (mode_x, mode_y, rail_vx, rail_vy), site=site, site_kind="fusion"
-    )
-    out = []
-    for branch in measured.branches:
-        disposition = "keep" if branch.record[-1].label in _A2C_KEEP else "discard"
-        out.append(branch.with_last_disposition(disposition))
-    return Ensemble(tuple(out))
+    return apply_feed_forward(_a2c_readout(state, mode_x, mode_y, site), A2C_RULES)
 
 
 # -- controlled-phase gate -------------------------------------------------------
@@ -206,23 +183,35 @@ _Z0 = pdps(0, PI)
 _Z1 = pdps(1, PI)
 _P = ps(0, PI)
 
-CZ_RULES: dict[str, tuple[ElementDescriptor, ...]] = {
-    "11": (_R0, _R1, _Z1),
-    "22": (_R0, _R1, _Z1),
-    "12": (_R0, _R1, _Z1, _P),
-    "21": (_R0, _R1, _Z1, _P),
-    "31": (_R1, _Z0, _P),
-    "42": (_R1, _Z0, _P),
-    "41": (_R1, _Z0),
-    "32": (_R1, _Z0),
-    "13": (_R0, _Z0, _P),
-    "24": (_R0, _Z0, _P),
-    "14": (_R0, _Z0),
-    "23": (_R0, _Z0),
-    "33": (_Z1, _P),
-    "44": (_Z1, _P),
-    "34": (_Z1,),
-    "43": (_Z1,),
+CZ_RULES = {
+    "11": RuleAction(elements=(_R0, _R1, _Z1)),
+    "22": RuleAction(elements=(_R0, _R1, _Z1)),
+    "12": RuleAction(elements=(_R0, _R1, _Z1, _P)),
+    "21": RuleAction(elements=(_R0, _R1, _Z1, _P)),
+    "31": RuleAction(elements=(_R1, _Z0, _P)),
+    "42": RuleAction(elements=(_R1, _Z0, _P)),
+    "41": RuleAction(elements=(_R1, _Z0)),
+    "32": RuleAction(elements=(_R1, _Z0)),
+    "13": RuleAction(elements=(_R0, _Z0, _P)),
+    "24": RuleAction(elements=(_R0, _Z0, _P)),
+    "14": RuleAction(elements=(_R0, _Z0)),
+    "23": RuleAction(elements=(_R0, _Z0)),
+    "33": RuleAction(elements=(_Z1, _P)),
+    "44": RuleAction(elements=(_Z1, _P)),
+    "34": RuleAction(elements=(_Z1,)),
+    "43": RuleAction(elements=(_Z1,)),
+}
+
+# The joint readout of both fusions: a discard at either one discards the
+# pair; two-click pairs outside CZ_RULES have no rule and raise.
+_CZ_PAIR_RULES = {
+    **{
+        a + b: RuleAction(disposition="discard")
+        for a, first in A2C_RULES.items()
+        for b, second in A2C_RULES.items()
+        if "discard" in (first.disposition, second.disposition)
+    },
+    **CZ_RULES,
 }
 
 
@@ -241,24 +230,12 @@ def cz_gate(input_state: PureState, ancilla: PureState | None = None) -> GadgetR
 
     # layout: (input qubit 1, ancilla 1..4, input qubit 2)
     full = input_state.tensor(ancilla).reorder_modes((0, 2, 3, 4, 5, 1))
-    first = a2c(full, 0, 1, site="a2c1")
-
-    out: list[Branch] = []
-    for parent in first.branches:
-        # modes now (ancilla 2, ancilla 3, ancilla 4, input qubit 2)
-        second = a2c(parent.state, 2, 3, site="a2c2")
-        for sub in second.branches:
-            merged = Branch(
-                parent.weight * sub.weight, sub.state, parent.record + sub.record
-            )
-            if merged.disposition == "keep":
-                pair = merged.record[-2].label + merged.record[-1].label
-                elements = CZ_RULES.get(pair)
-                if elements is None:
-                    raise FeedForwardError(f"no post-processing for outcome pair {pair}")
-                merged = merged.with_state(apply_circuit(merged.state, elements))
-            out.append(merged)
-    return GadgetResult(Ensemble(tuple(out)))
+    # The two fusions are one readout, so the second runs on every branch of
+    # the first; modes are then (ancilla 2, ancilla 3, ancilla 4, input qubit 2).
+    joint = _a2c_readout(full, 0, 1, "a2c1").then(
+        lambda rest: _a2c_readout(rest, 2, 3, "a2c2")
+    )
+    return GadgetResult(apply_feed_forward(joint, _CZ_PAIR_RULES))
 
 
 # -- the whole pipeline ----------------------------------------------------------
@@ -268,15 +245,8 @@ def cz_gate(input_state: PureState, ancilla: PureState | None = None) -> GadgetR
 class PipelineResult(GadgetResult):
     """Controlled-phase pipeline outcome with the ancilla stage broken out."""
 
-    @property
-    def ancilla_probability(self) -> float:
-        """Probability that four Bell pairs yielded the gate ancilla."""
-        total = 0.0
-        for branch in self.ensemble.branches:
-            pre = [e for e in branch.record if not e.site.startswith("a2c")]
-            if pre and all(e.disposition == "keep" for e in pre):
-                total += branch.weight
-        return total
+    # probability that four Bell pairs yielded the gate ancilla
+    ancilla_probability: float
 
 
 def cz_full_pipeline(
@@ -292,16 +262,6 @@ def cz_full_pipeline(
     first = b2g(pair, site="b2g1")
     second = b2g(pair, site="b2g2")
     registers = first.ensemble.combine(second.ensemble)
-    converted = g2a(registers, site="g2a")
-
-    out: list[Branch] = []
-    for parent in converted.ensemble.branches:
-        if parent.disposition == "discard":
-            out.append(parent)
-            continue
-        gate = cz_gate(input_state, ancilla=parent.state)
-        for sub in gate.ensemble.branches:
-            out.append(
-                Branch(parent.weight * sub.weight, sub.state, parent.record + sub.record)
-            )
-    return PipelineResult(Ensemble(tuple(out)))
+    converted = g2a(registers, site="g2a").ensemble
+    gated = converted.then(lambda ancilla: cz_gate(input_state, ancilla=ancilla))
+    return PipelineResult(gated, ancilla_probability=converted.keep_weight)

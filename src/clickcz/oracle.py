@@ -138,10 +138,13 @@ def enumerate_exact(gadget: str, input_state: PureState | None = None) -> list[O
     """All measurement branches of a registered gadget, canonically sorted."""
     if gadget not in GADGETS:
         raise ValueError(f"unknown gadget {gadget!r}; expected one of {sorted(GADGETS)}")
-    result = GADGETS[gadget](input_state)
+    return outcome_rows(GADGETS[gadget](input_state).ensemble)
+
+
+def outcome_rows(ensemble: Ensemble) -> list[OutcomeRow]:
+    """One row per branch, in canonical order."""
     rows = [
-        OutcomeRow(b.label, b.disposition, b.weight, b.state)
-        for b in result.ensemble.branches
+        OutcomeRow(b.label, b.disposition, b.weight, b.state) for b in ensemble.branches
     ]
     rows.sort(
         key=lambda r: (

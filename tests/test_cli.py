@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from clickcz import oracle
 from clickcz.cli import ConfigError, ExperimentConfig, main, run
 from clickcz.fock import PureState
 from clickcz import states
@@ -25,6 +26,19 @@ class TestEnumerateReports:
         assert code == 0
         assert report.extras["ancilla_probability"] == pytest.approx(0.125, abs=TOL)
         assert report.success_probability == pytest.approx(1 / 32, abs=TOL)
+
+    def test_pipeline_runs_once(self, monkeypatch):
+        calls = []
+        pipeline = oracle.cz_full_pipeline
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "cz_full_pipeline", counting)
+        report, _ = run(ExperimentConfig("pipeline"))
+        assert len(calls) == 1
+        assert abs(report.extras["ancilla_probability"] - 1 / 8) <= TOL
 
     def test_cz_report_probabilities_sum_to_one(self):
         report, _ = run(ExperimentConfig(experiment="cz"))

@@ -8,11 +8,13 @@ from clickcz.fock import (
     CapacityError,
     Ensemble,
     ModeMismatchError,
+    OutcomeEvent,
     PureState,
     creation_apply,
     trace_out,
 )
 from clickcz import states
+from clickcz.gadgets import b2g, g2a
 
 from conftest import assert_states_equal, random_state
 
@@ -172,6 +174,46 @@ class TestTraceOut:
             ens = Ensemble.pure(random_state(rng, 3))
             out = trace_out(ens, rng.randrange(3))
             assert out.total_weight == pytest.approx(ens.total_weight, abs=1e-12)
+
+
+def _event(site: str, disposition: str = "keep") -> OutcomeEvent:
+    return OutcomeEvent(site=site, pattern=(True,), label=site, disposition=disposition)
+
+
+class TestThen:
+    def _stage(self, state: PureState) -> Ensemble:
+        return Ensemble(
+            (
+                Branch(0.75, state, (_event("s1"),)),
+                Branch(0.25, state.scaled(-1), (_event("s2", "discard"),)),
+            )
+        )
+
+    def test_discarded_parent_passes_through(self):
+        dropped = Branch(0.3, states.v0h(), (_event("p", "discard"),))
+        kept = Branch(0.7, states.ghz_plus(), (_event("q"),))
+        out = Ensemble((dropped, kept)).then(self._stage)
+        assert out.branches[0] is dropped
+        assert len(out.branches) == 3
+
+    def test_weights_multiply_and_records_concatenate(self):
+        parent = Branch(0.7, states.ghz_plus(), (_event("a"), _event("b")))
+        sub = self._stage(parent.state)
+        out = Ensemble((parent,)).then(self._stage)
+        for child, part in zip(out.branches, sub.branches):
+            assert child.weight == parent.weight * part.weight
+            assert child.record == parent.record + part.record
+            assert child.state.items() == part.state.items()
+        assert [e.site for e in out.branches[1].record] == ["a", "b", "s2"]
+
+    def test_weight_conserved_through_g2a(self):
+        pair = states.bell_phi_plus().tensor(states.bell_phi_plus())
+        registers = b2g(pair, site="b2g1").ensemble.combine(
+            b2g(pair, site="b2g2").ensemble
+        )
+        out = registers.then(g2a)
+        assert out.total_weight == pytest.approx(1.0, abs=1e-12)
+        assert out.keep_weight == pytest.approx(0.125, abs=1e-12)
 
 
 class TestHygiene:
