@@ -38,6 +38,10 @@ EXPERIMENTS = (
 )
 
 
+# Enumerated probabilities are trusted to NORM_TOL (1e-12), not to the last bit.
+_SAMPLING_DECIMALS = 12
+
+
 class ConfigError(Exception):
     """Bad experiment configuration (exit code 2)."""
 
@@ -137,10 +141,14 @@ def _sample_outcomes(
     """Draw outcome counts with a counter-seeded generator.
 
     Probabilities are consumed in canonical label order, so identical
-    configurations reproduce identical reports byte for byte.
+    configurations reproduce identical reports byte for byte. They are
+    rounded to ``_SAMPLING_DECIMALS`` places first: the binomial draws branch
+    on ``floor((n + 1) p)``, which for the paper's exact fractions sits on an
+    integer, so a last-bit change in an enumerated probability would
+    otherwise move a count.
     """
     probs = np.array([p for _, _, p in aggregated], dtype=float)
-    probs = probs / probs.sum()
+    probs = np.round(probs / probs.sum(), _SAMPLING_DECIMALS)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(samples, probs)
     return [

@@ -10,8 +10,9 @@ detection destroys coherence between photon-number sectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 from .elements import ElementDescriptor, apply_circuit, apply_pbs, apply_pr
 from .fock import (
@@ -74,6 +75,13 @@ def interpret_pattern(pattern: Sequence[bool], site_kind: str) -> str:
     raise ValueError(f"unknown site kind {site_kind!r}")
 
 
+def _picker(indices: Sequence[int]) -> Callable[[FockVector], tuple]:
+    """A function returning the tuple of a vector's entries at ``indices``."""
+    if len(indices) >= 2:
+        return itemgetter(*indices)
+    return lambda vec: tuple([vec[i] for i in indices])
+
+
 def measure_nr(
     state: PureState,
     modes: Sequence[int],
@@ -98,11 +106,10 @@ def measure_nr(
         site_kind = {2: "pid", 4: "fusion"}.get(len(modes), "raw")
 
     keep_idx = [i for i in range(state.modes) if i not in set(modes)]
+    sector_of, rest_of = _picker(modes), _picker(keep_idx)
     sectors: dict[tuple, dict[FockVector, complex]] = {}
-    for vec, amp in state.items():
-        sector = tuple(vec[m] for m in modes)
-        rest = tuple(vec[i] for i in keep_idx)
-        sectors.setdefault(sector, {})[rest] = amp
+    for vec, amp in state._amps.items():
+        sectors.setdefault(sector_of(vec), {})[rest_of(vec)] = amp
 
     branches: list[Branch] = []
     for sector in sorted(sectors):
@@ -116,10 +123,8 @@ def measure_nr(
         else:
             label = interpret_pattern(pattern, site_kind)
         scale = 1.0 / math.sqrt(weight)
-        post = PureState(
-            len(keep_idx),
-            {v: a * scale for v, a in sub.items()},
-            photon_cap=state.photon_cap,
+        post = PureState._trusted(
+            len(keep_idx), {v: a * scale for v, a in sub.items()}, state.photon_cap
         )
         event = OutcomeEvent(site=site, pattern=pattern, label=label)
         branches.append(Branch(weight, post, (event,)))
@@ -157,7 +162,12 @@ def apply_feed_forward(ensemble: Ensemble, rules: FeedForwardRule) -> Ensemble:
         state = branch.state
         if action.disposition == "keep" and action.elements:
             state = apply_circuit(state, action.elements)
-        record = tuple(replace(e, disposition=action.disposition) for e in branch.record)
+        record = tuple(
+            e
+            if e.disposition == action.disposition
+            else OutcomeEvent(e.site, e.pattern, e.label, action.disposition)
+            for e in branch.record
+        )
         out.append(Branch(branch.weight, state, record))
     return Ensemble(tuple(out))
 

@@ -17,6 +17,7 @@ controlled-phase validation in the test suite.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -102,12 +103,39 @@ def _check_mode(state: PureState, mode: int) -> None:
 def _phase_map(state: PureState, mode: int, phi: float, count_h: bool) -> PureState:
     """Multiply each term by exp(i*phi*n) with n the counted photons at ``mode``."""
     _check_mode(state, mode)
+    phases: dict[int, complex] = {}
     amps: dict[FockVector, complex] = {}
-    for vec, amp in state.items():
+    for vec, amp in state._amps.items():
         n_h, n_v = vec[mode]
         n = n_h + n_v if count_h else n_v
-        amps[vec] = amp * cmath.exp(1j * phi * n)
-    return PureState(state.modes, amps, photon_cap=state.photon_cap)
+        phase = phases.get(n)
+        if phase is None:
+            phase = phases[n] = cmath.exp(1j * phi * n)
+        amps[vec] = amp * phase
+    return PureState._trusted(state.modes, amps, state.photon_cap)
+
+
+@functools.lru_cache(maxsize=None)
+def _expansion(n_a: int, n_b: int) -> tuple[tuple[int, int, int, int, float], ...]:
+    """Angle-free terms of the substituted monomial a^n_a b^n_b on the vacuum.
+
+    Substituting ``a → u00 a + u10 b`` and ``b → u01 a + u11 b`` into
+    ``a^n_a b^n_b / √(n_a! n_b!)`` and expanding both binomials gives one
+    term per ``(i, j)``: ``c · u00^i u10^(n_a−i) u01^j u11^(n_b−j)`` times the
+    basis vector with ``k_a = i + j`` photons on rail a and ``k_b`` on rail b,
+    where ``c = C(n_a, i) C(n_b, j) √(k_a! k_b! / (n_a! n_b!))``.  Keyed by
+    photon counts only, so the photon cap bounds the cache.
+    """
+    norm = math.factorial(n_a) * math.factorial(n_b)
+    terms = []
+    for i in range(n_a + 1):
+        for j in range(n_b + 1):
+            k_a = i + j
+            k_b = n_a + n_b - k_a
+            ratio = math.factorial(k_a) * math.factorial(k_b) / norm
+            c = math.comb(n_a, i) * math.comb(n_b, j) * math.sqrt(ratio)
+            terms.append((i, j, k_a, k_b, c))
+    return tuple(terms)
 
 
 def _two_rail_transform(
@@ -116,42 +144,63 @@ def _two_rail_transform(
     rail_b: tuple[int, int],
     u: Matrix2,
 ) -> PureState:
-    """Apply a 2x2 creation-operator map to two rails.
+    """Apply a 2x2 creation-operator map to two distinct rails.
 
     ``rail = (mode, pol)`` with pol 0 for H, 1 for V.  The image of rail a's
     creation operator is column 0 of ``u``; rail b's is column 1.  Expansion
     of the substituted monomials carries the bosonic factorial factors.
     """
-    out: dict[FockVector, complex] = {}
     (ma, pa), (mb, pb) = rail_a, rail_b
-    for vec, amp in state.items():
-        n_a = vec[ma][pa]
-        n_b = vec[mb][pb]
-        if n_a == 0 and n_b == 0:
+    # per occupancy pair of the two modes: their new occupancies and the
+    # expansion coefficient with this call's matrix folded in
+    images: dict[tuple, list[tuple[tuple[int, int], tuple[int, int], complex]]] = {}
+    out: dict[FockVector, complex] = {}
+    for vec, amp in state._amps.items():
+        key = (vec[ma], vec[mb])
+        if key[0][pa] == 0 and key[1][pb] == 0:
             out[vec] = out.get(vec, 0j) + amp
             continue
-        base = amp / math.sqrt(math.factorial(n_a) * math.factorial(n_b))
-        for i in range(n_a + 1):
-            ca = math.comb(n_a, i) * u[0][0] ** i * u[1][0] ** (n_a - i)
-            if ca == 0:
-                continue
-            for j in range(n_b + 1):
-                cb = math.comb(n_b, j) * u[0][1] ** j * u[1][1] ** (n_b - j)
-                if cb == 0:
-                    continue
-                k_a = i + j
-                k_b = n_a + n_b - k_a
-                coeff = base * ca * cb * math.sqrt(
-                    math.factorial(k_a) * math.factorial(k_b)
-                )
-                mut = [list(m) for m in vec]
-                mut[ma][pa] = 0
-                mut[mb][pb] = 0
-                mut[ma][pa] += k_a
-                mut[mb][pb] += k_b
-                new_vec = tuple(tuple(m) for m in mut)
-                out[new_vec] = out.get(new_vec, 0j) + coeff
-    return PureState(state.modes, out, photon_cap=state.photon_cap)
+        terms = images.get(key)
+        if terms is None:
+            terms = images[key] = _rail_images(key, pa, pb, ma == mb, u)
+        buf = list(vec)
+        for occ_a, occ_b, coeff in terms:
+            buf[ma] = occ_a
+            buf[mb] = occ_b
+            new_vec = tuple(buf)
+            out[new_vec] = out.get(new_vec, 0j) + amp * coeff
+    return PureState._trusted(state.modes, out, state.photon_cap)
+
+
+def _rail_images(
+    key: tuple[tuple[int, int], tuple[int, int]],
+    pa: int,
+    pb: int,
+    same_mode: bool,
+    u: Matrix2,
+) -> list[tuple[tuple[int, int], tuple[int, int], complex]]:
+    """Images of one occupancy pair: (new occupancy a, new occupancy b, coefficient).
+
+    When both rails sit on one mode, occupancy b carries both new rail
+    counts, since the caller writes it after a. Terms whose coefficient
+    vanishes are dropped.
+    """
+    (u00, u01), (u10, u11) = u
+    occ_a, occ_b = key
+    n_a, n_b = occ_a[pa], occ_b[pb]
+    out = []
+    for i, j, k_a, k_b, c in _expansion(n_a, n_b):
+        coeff = c * u00**i * u10 ** (n_a - i) * u01**j * u11 ** (n_b - j)
+        if coeff == 0:
+            continue
+        new_a = _with_rail(occ_a, pa, k_a)
+        new_b = _with_rail(new_a if same_mode else occ_b, pb, k_b)
+        out.append((new_a, new_b, coeff))
+    return out
+
+
+def _with_rail(occ: tuple[int, int], pol: int, n: int) -> tuple[int, int]:
+    return (n, occ[1]) if pol == 0 else (occ[0], n)
 
 
 def apply_pr(state: PureState, mode: int, theta: float) -> PureState:

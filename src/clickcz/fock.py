@@ -4,10 +4,17 @@ A basis vector assigns an occupancy pair ``(n_h, n_v)`` to each spatial mode.
 Pure states are sparse complex-amplitude maps over such vectors; measurement
 results are collected into weighted ensembles of renormalized pure states.
 All values are immutable: every operation returns a new object.
+
+The public ``PureState`` constructor is the validating boundary: it checks
+every term's mode count, photon count and amplitude. Results of operations
+that cannot change either count (tensor products within the cap, mode
+permutations, scaling, element kernels, measurement) are built through the
+trusted ``PureState._trusted`` path, which only prunes negligible terms.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -54,15 +61,21 @@ def as_fock_vector(modes: Iterable[Sequence[int]]) -> FockVector:
 
 
 def total_photons(vec: FockVector) -> int:
-    return sum(n_h + n_v for n_h, n_v in vec)
+    return sum(map(sum, vec))
 
 
 class PureState:
     """Sparse pure state: mapping from basis vectors to complex amplitudes.
 
     May be sub-normalized (or super-normalized, e.g. right after a raw
-    creation operator). Amplitudes below the prune threshold are dropped so
-    that interference cancellation cannot leave phantom terms behind.
+    creation operator); the gadget entry points require normalized input.
+    Amplitudes below the prune threshold are dropped so that interference
+    cancellation cannot leave phantom terms behind.
+
+    The constructor validates its input: every basis vector must have
+    ``modes`` entries and at most ``photon_cap`` photons, and every amplitude
+    must be finite. Library operations whose results satisfy both by
+    construction skip these checks through ``_trusted``.
     """
 
     __slots__ = ("modes", "photon_cap", "_amps")
@@ -82,6 +95,8 @@ class PureState:
                 raise ModeMismatchError(
                     f"basis vector {vec} has {len(vec)} modes, state has {self.modes}"
                 )
+            if not cmath.isfinite(amp):
+                raise ValueError(f"non-finite amplitude {amp} at {vec}")
             if abs(amp) < PRUNE_EPS:
                 continue
             n = total_photons(vec)
@@ -91,6 +106,28 @@ class PureState:
                 )
             amps[vec] = complex(amp)
         self._amps = amps
+
+    @classmethod
+    def _trusted(
+        cls, modes: int, amplitudes: dict[FockVector, complex], photon_cap: int
+    ) -> "PureState":
+        """Build a result whose mode and photon counts are known to hold.
+
+        Only prunes: the caller guarantees that every vector has ``modes``
+        entries and at most ``photon_cap`` photons, and that every amplitude
+        is a finite complex number. The state takes ownership of the dict.
+        """
+        if amplitudes and min(map(abs, amplitudes.values())) < PRUNE_EPS:
+            amplitudes = {v: a for v, a in amplitudes.items() if abs(a) >= PRUNE_EPS}
+        state = object.__new__(cls)
+        state.modes = modes
+        state.photon_cap = photon_cap
+        state._amps = amplitudes
+        return state
+
+    def _max_photons(self) -> int:
+        """Largest photon count of any term (0 for the zero state)."""
+        return max(map(total_photons, self._amps), default=0)
 
     # -- construction helpers -------------------------------------------------
 
@@ -141,10 +178,10 @@ class PureState:
         return self.scaled(scale)
 
     def scaled(self, factor: complex) -> "PureState":
-        return PureState(
-            self.modes,
-            {v: a * factor for v, a in self._amps.items()},
-            photon_cap=self.photon_cap,
+        if not cmath.isfinite(factor):
+            raise ValueError(f"non-finite scale factor {factor}")
+        return PureState._trusted(
+            self.modes, {v: a * factor for v, a in self._amps.items()}, self.photon_cap
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -160,7 +197,12 @@ class PureState:
         for va, aa in self._amps.items():
             for vb, ab in other._amps.items():
                 amps[va + vb] = aa * ab
-        return PureState(self.modes + other.modes, amps, photon_cap=cap)
+        modes = self.modes + other.modes
+        # each factor is within its own cap, so appending vacuum is always safe
+        added = other._max_photons()
+        if added and self._max_photons() + added > cap:
+            return PureState(modes, amps, photon_cap=cap)  # raises CapacityError
+        return PureState._trusted(modes, amps, cap)
 
     def reorder_modes(self, permutation: Sequence[int]) -> "PureState":
         """Permute spatial modes: new mode ``i`` is old mode ``permutation[i]``.
@@ -173,7 +215,7 @@ class PureState:
         amps = {
             tuple(vec[p] for p in perm): amp for vec, amp in self._amps.items()
         }
-        return PureState(self.modes, amps, photon_cap=self.photon_cap)
+        return PureState._trusted(self.modes, amps, self.photon_cap)
 
     def drop_modes(self, modes: Sequence[int]) -> "PureState":
         """Remove the given modes from every basis vector (no projection)."""
@@ -220,6 +262,8 @@ class PureState:
         amps: dict[FockVector, complex] = {}
         for term in data["terms"]:
             vec = as_fock_vector(term["occ"])
+            if vec in amps:
+                raise ValueError(f"duplicate term {vec}")
             amps[vec] = complex(float(term["re"]), float(term.get("im", 0.0)))
         return PureState(modes, amps, photon_cap=photon_cap)
 

@@ -15,9 +15,15 @@ from typing import Callable
 from . import states
 from .detection import RuleAction, apply_feed_forward, measure_nr, pid, pid_split
 from .elements import apply_bs, apply_pbs, apply_pdps, apply_pr, pdps, pr, ps
-from .fock import Branch, Ensemble, PureState
+from .fock import Branch, Ensemble, PureState, SimulatorError
 
 PI = math.pi
+
+
+def _require_normalized(state: PureState, what: str) -> None:
+    """Reject an input whose norm² is off from 1 by more than NORM_TOL."""
+    if not state.is_normalized():
+        raise SimulatorError(f"{what} must be normalized, got norm² {state.norm2!r}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,7 @@ def b2g(state: PureState, site: str = "b2g") -> GadgetResult:
     """
     if state.modes != 4:
         raise ValueError("Bell-to-GHZ conversion expects a 4-mode input")
+    _require_normalized(state, "Bell-to-GHZ input")
     fused = apply_pbs(state, 1, 2)
     # move the leftover PBS output behind the survivors before detection
     rearranged = fused.reorder_modes((0, 1, 3, 2))
@@ -139,6 +146,7 @@ def g2a(input_ensemble: Ensemble | PureState, site: str = "g2a") -> GadgetResult
     def convert(registers: PureState) -> Ensemble:
         if registers.modes != 6:
             raise ValueError("ancilla conversion expects 6-mode registers")
+        _require_normalized(registers, "ancilla conversion input")
         return apply_feed_forward(ecc(registers, 1, 4, site=f"{site}/ecc"), G2A_RULES)
 
     return GadgetResult(input_ensemble.then(convert))
@@ -168,6 +176,7 @@ def a2c(state: PureState, mode_x: int, mode_y: int, site: str = "a2c") -> Ensemb
     Exactly two clicks herald success; a single click means the photons
     bunched and the attempt is discarded.
     """
+    _require_normalized(state, "fusion input")
     return apply_feed_forward(_a2c_readout(state, mode_x, mode_y, site), A2C_RULES)
 
 
@@ -227,6 +236,8 @@ def cz_gate(input_state: PureState, ancilla: PureState | None = None) -> GadgetR
         ancilla = states.t1_prime()
     if ancilla.modes != 4:
         raise ValueError("ancilla must be a 4-mode state")
+    _require_normalized(input_state, "controlled-phase input")
+    _require_normalized(ancilla, "ancilla")
 
     # layout: (input qubit 1, ancilla 1..4, input qubit 2)
     full = input_state.tensor(ancilla).reorder_modes((0, 2, 3, 4, 5, 1))
@@ -258,6 +269,7 @@ def cz_full_pipeline(
     partial records, successes end in the exact controlled-phase image of
     the input.
     """
+    _require_normalized(input_state, "controlled-phase input")
     pair = bell_source().tensor(bell_source())
     first = b2g(pair, site="b2g1")
     second = b2g(pair, site="b2g2")

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from clickcz import oracle
-from clickcz.cli import ConfigError, ExperimentConfig, main, run
+from clickcz.cli import ConfigError, ExperimentConfig, _sample_outcomes, main, run
 from clickcz.fock import PureState
 from clickcz import states
 
@@ -166,6 +166,20 @@ class TestSampling:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_counts_ignore_last_bit_noise(self):
+        # The paper's exact fractions put floor((n + 1) p) of the binomial
+        # draws on an integer; a few ulps on one probability must not move
+        # a count.
+        rows = oracle.aggregate_probabilities(oracle.enumerate_exact("cz"))
+        base = _sample_outcomes(rows, 100_000, 20240803)
+        for i, (label, disposition, p) in enumerate(rows):
+            for toward in (0.0, 1.0):
+                q = p
+                for _ in range(4):
+                    q = math.nextafter(q, toward)
+                    nudged = rows[:i] + [(label, disposition, q)] + rows[i + 1 :]
+                    assert _sample_outcomes(nudged, 100_000, 20240803) == base, label
+
 
 class TestMainEntry:
     def test_enumerate_to_json_file(self, tmp_path):
@@ -202,3 +216,43 @@ class TestMainEntry:
         )
         monkeypatch.setattr(oracle, "verify_all_tables", lambda: [broken])
         assert main(["--experiment", "verify", "--out", "/dev/null"]) == 3
+
+
+class TestInputBoundary:
+    """Input outside the model fails at load time with exit code 2."""
+
+    @staticmethod
+    def _cz(tmp_path, terms, capsys) -> tuple[int, str]:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"modes": 2, "terms": terms}))
+        code = main(["--experiment", "cz", "--input", str(path), "--out", "/dev/null"])
+        return code, capsys.readouterr().err
+
+    def test_non_finite_amplitude(self, tmp_path, capsys):
+        terms = [
+            {"occ": [[1, 0], [1, 0]], "re": float("nan"), "im": 0.0},
+            {"occ": [[0, 1], [0, 1]], "re": 1.0, "im": 0.0},
+        ]
+        code, err = self._cz(tmp_path, terms, capsys)
+        assert code == 2
+        assert "malformed input state" in err
+
+    def test_duplicate_term(self, tmp_path, capsys):
+        terms = [
+            {"occ": [[1, 0], [1, 0]], "re": 0.6, "im": 0.0},
+            {"occ": [[0, 1], [0, 1]], "re": 0.8, "im": 0.0},
+            {"occ": [[1, 0], [1, 0]], "re": 0.1, "im": 0.0},
+        ]
+        code, err = self._cz(tmp_path, terms, capsys)
+        assert code == 2
+        assert "duplicate term" in err
+
+    def test_unnormalized_input(self, tmp_path, capsys):
+        amps = {"HH": 1.0, "HV": 1.0, "VH": 0.5, "VV": math.sqrt(0.5)}  # norm² 2.75
+        occ = {"H": [1, 0], "V": [0, 1]}
+        terms = [
+            {"occ": [occ[k[0]], occ[k[1]]], "re": a, "im": 0.0} for k, a in amps.items()
+        ]
+        code, err = self._cz(tmp_path, terms, capsys)
+        assert code == 2
+        assert "must be normalized" in err

@@ -4,6 +4,7 @@ import pytest
 
 from clickcz.elements import (
     ElementDescriptor,
+    _expansion,
     apply_bs,
     apply_element,
     apply_pbs,
@@ -16,7 +17,8 @@ from clickcz.elements import (
     pr,
     ps,
 )
-from clickcz.fock import PureState
+from clickcz.fock import DEFAULT_PHOTON_CAP, CapacityError, PureState
+from clickcz.gadgets import cz_gate
 from clickcz import states
 
 from conftest import assert_states_equal, random_state
@@ -201,3 +203,38 @@ class TestConservation:
             ab = apply_bs(apply_pr(psi, 0, 0.3), 2, 3)
             ba = apply_pr(apply_bs(psi, 2, 3), 0, 0.3)
             assert_states_equal(ab, ba)
+
+
+class TestTrustedPath:
+    """Kernel results skip re-validation; these pin what that relies on."""
+
+    def test_tensor_past_the_cap_still_raises(self):
+        left = PureState(2, {(H, (2, 0)): 0.6, (E, E): 0.8}, photon_cap=4)
+        right = PureState(1, {((1, 1),): 1.0}, photon_cap=3)
+        assert len(left.tensor(PureState.vacuum(1))) == 2
+        with pytest.raises(CapacityError):
+            left.tensor(right)
+
+    def test_expansion_cache_is_keyed_by_photon_counts(self, rng):
+        cap = DEFAULT_PHOTON_CAP
+        every_occupancy = {
+            ((n_h, n_v),): 1.0 for n_h in range(cap + 1) for n_v in range(cap + 1 - n_h)
+        }
+        psi = PureState(1, every_occupancy).normalized()
+        _expansion.cache_clear()
+        for _ in range(500):
+            psi = apply_pr(psi, 0, rng.uniform(-math.pi, math.pi))
+        assert 0 < _expansion.cache_info().currsize <= (cap + 1) ** 2
+
+    def test_cz_gate_reads_no_canonical_order(self, monkeypatch):
+        psi, ancilla = states.two_qubit(1, 1j, -1, 0.5), states.t1_prime()
+        calls = []
+        items = PureState.items
+
+        def counting(self):
+            calls.append(self)
+            return items(self)
+
+        monkeypatch.setattr(PureState, "items", counting)
+        cz_gate(psi, ancilla=ancilla)
+        assert calls == []

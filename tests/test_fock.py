@@ -233,6 +233,13 @@ class TestHygiene:
         psi = PureState(1, {(H,): 2.0}).normalized()
         assert psi.norm2 == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, complex(0.5, -math.inf)])
+    def test_non_finite_amplitude_rejected(self, amp):
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(1, {(H,): amp, (V,): 0.5})
+        with pytest.raises(ValueError, match="non-finite"):
+            states.ghz_plus().scaled(amp)
+
 
 class TestSerialization:
     def test_roundtrip(self):
@@ -245,6 +252,12 @@ class TestSerialization:
         data = json.loads(psi.to_json())
         occs = [tuple(map(tuple, t["occ"])) for t in data["terms"]]
         assert occs == sorted(occs)
+
+    def test_duplicate_term_rejected(self):
+        data = json.loads(states.ghz_plus().to_json())
+        data["terms"].append(dict(data["terms"][0]))
+        with pytest.raises(ValueError, match="duplicate term"):
+            PureState.from_json_dict(data)
 
     def test_byte_stability(self):
         psi = states.ghz_plus()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from clickcz.fock import Ensemble, PureState
+from clickcz.fock import Ensemble, PureState, SimulatorError
 from clickcz.gadgets import (
     CZ_RULES,
     a2c,
@@ -270,3 +270,25 @@ class TestPipeline:
             assert sites[:2] == ["b2g1", "b2g2"]
             assert sites[2].startswith("g2a")
             assert sites[-2:] == ["a2c1", "a2c2"]
+
+
+class TestEntryPointsRequireNormalizedInput:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: b2g(double_bell().scaled(1.01)),
+            lambda: g2a(states.ghz_plus().tensor(states.ghz_plus()).scaled(0.9)),
+            lambda: a2c(states.basis_two_qubit("HH").scaled(1.1), 0, 1),
+            lambda: cz_gate(states.basis_two_qubit("HV").scaled(2.0)),
+            lambda: cz_gate(states.basis_two_qubit("HV"), ancilla=states.t1_prime().scaled(0.5)),
+            lambda: cz_full_pipeline(states.basis_two_qubit("HV").scaled(1.5)),
+        ],
+        ids=["b2g", "g2a", "a2c", "cz_gate", "cz_gate-ancilla", "cz_full_pipeline"],
+    )
+    def test_unnormalized_input_raises(self, run):
+        with pytest.raises(SimulatorError, match="must be normalized"):
+            run()
+
+    def test_rounding_noise_is_accepted(self):
+        psi = states.basis_two_qubit("VV").scaled(1 + 1e-14)
+        assert cz_gate(psi).success_probability == pytest.approx(0.25, abs=TOL)

@@ -1,13 +1,14 @@
 """Property suite: invariants that must hold for arbitrary states/elements."""
 
+import cmath
 import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from clickcz.detection import RuleAction, measure_nr, pid
-from clickcz.elements import apply_element, bs, pbs, pdps, pr, ps
-from clickcz.fock import Ensemble, PureState, trace_out
+from clickcz.elements import _two_rail_transform, apply_element, bs, pbs, pdps, pr, ps
+from clickcz.fock import PRUNE_EPS, Ensemble, PureState, trace_out
 from clickcz import states
 
 TOL = 1e-12
@@ -176,3 +177,70 @@ def test_pid_counts_one_photon_for_any_polarization(re_a, im_a, re_b, im_b):
     assert abs(out.total_weight - 1.0) <= TOL
     for branch in out.branches:
         assert branch.record[-1].label in ("Hn0", "0Vn")
+
+
+def _assert_survives_revalidation(state: PureState) -> None:
+    again = PureState(state.modes, dict(state.items()), photon_cap=state.photon_cap)
+    assert (again.modes, again.photon_cap) == (state.modes, state.photon_cap)
+    assert again.items() == state.items()
+    for _vec, amp in state.items():
+        assert type(amp) is complex
+        assert cmath.isfinite(amp) and abs(amp) >= PRUNE_EPS
+
+
+@given(data=st.data(), psi=sparse_states(modes=st.just(3)))
+@settings(max_examples=200, deadline=None)
+def test_trusted_results_survive_revalidation(data, psi):
+    outputs = []
+    for element in data.draw(st.lists(elements_for(3), min_size=1, max_size=6)):
+        psi = apply_element(psi, element)
+        outputs.append(psi)
+    outputs += [
+        psi.scaled(data.draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=10))),
+        psi.reorder_modes(data.draw(st.permutations(range(3)))),
+        psi.tensor(PureState(1, {((1, 0),): 0.6, ((0, 1),): 0.8j})),
+    ]
+    outputs += [b.state for b in measure_nr(psi, (data.draw(st.integers(0, 2)),), "m").branches]
+    for state in outputs:
+        _assert_survives_revalidation(state)
+
+
+def _reference_two_rail(state, rail_a, rail_b, u):
+    """Direct per-term expansion of a 2x2 creation-operator map, for comparison."""
+    (ma, pa), (mb, pb) = rail_a, rail_b
+    out = {}
+    for vec, amp in state.items():
+        n_a, n_b = vec[ma][pa], vec[mb][pb]
+        base = amp / math.sqrt(math.factorial(n_a) * math.factorial(n_b))
+        for i in range(n_a + 1):
+            for j in range(n_b + 1):
+                k_a, k_b = i + j, n_a + n_b - i - j
+                coeff = (
+                    base
+                    * math.comb(n_a, i) * u[0][0] ** i * u[1][0] ** (n_a - i)
+                    * math.comb(n_b, j) * u[0][1] ** j * u[1][1] ** (n_b - j)
+                    * math.sqrt(math.factorial(k_a) * math.factorial(k_b))
+                )
+                mut = [list(m) for m in vec]
+                mut[ma][pa] = k_a
+                mut[mb][pb] = k_b
+                new_vec = tuple(tuple(m) for m in mut)
+                out[new_vec] = out.get(new_vec, 0j) + coeff
+    return out
+
+
+rails = st.tuples(st.integers(0, 2), st.integers(0, 1))
+entries = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    psi=sparse_states(modes=st.just(3)),
+    pair=st.tuples(rails, rails).filter(lambda p: p[0] != p[1]),
+    u=st.tuples(st.tuples(entries, entries), st.tuples(entries, entries)),
+)
+@settings(max_examples=300, deadline=None)
+def test_two_rail_transform_matches_direct_expansion(psi, pair, u):
+    out = _two_rail_transform(psi, pair[0], pair[1], u)
+    expected = _reference_two_rail(psi, pair[0], pair[1], u)
+    for vec in set(expected) | {v for v, _ in out.items()}:
+        assert abs(out.amplitude(vec) - expected.get(vec, 0j)) <= TOL
