@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .fock import FockVector, PureState
+from .fock import FockVector, PureState, _integer, _json_number
 
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
@@ -69,9 +69,9 @@ class ElementDescriptor:
         shift = 1 if one_based else 0
         return ElementDescriptor(
             kind=str(data["kind"]),
-            targets=tuple(int(t) - shift for t in data["targets"]),
-            theta=float(data["theta"]) if "theta" in data else None,
-            phi=float(data["phi"]) if "phi" in data else None,
+            targets=tuple(_integer(t, "a target") - shift for t in data["targets"]),
+            theta=_json_number(data["theta"], "theta") if "theta" in data else None,
+            phi=_json_number(data["phi"], "phi") if "phi" in data else None,
         )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -51,13 +52,40 @@ FockVector = tuple[tuple[int, int], ...]
 VACUUM_MODE: tuple[int, int] = (0, 0)
 
 
+def _integer(value: object, what: str) -> int:
+    """An integer; floats, strings and booleans are rejected, not truncated."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _json_number(value: object, what: str) -> float:
+    """A finite number; strings, booleans, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 def as_fock_vector(modes: Iterable[Sequence[int]]) -> FockVector:
-    """Coerce nested sequences into a canonical basis-vector tuple."""
-    vec = tuple((int(m[0]), int(m[1])) for m in modes)
-    for n_h, n_v in vec:
+    """Coerce nested sequences into a canonical basis-vector tuple.
+
+    Every mode must be an ``(n_h, n_v)`` pair of non-negative integers.
+    """
+    vec = []
+    for m in modes:
+        if len(m) != 2:
+            raise ValueError(f"occupancy {m!r} is not an (n_h, n_v) pair")
+        n_h, n_v = (_integer(n, "an occupancy") for n in m)
         if n_h < 0 or n_v < 0:
-            raise ValueError(f"negative occupancy in {vec}")
-    return vec
+            raise ValueError(f"negative occupancy {m!r}")
+        vec.append((n_h, n_v))
+    return tuple(vec)
 
 
 def total_photons(vec: FockVector) -> int:
@@ -258,13 +286,26 @@ class PureState:
 
     @staticmethod
     def from_json_dict(data: Mapping, *, photon_cap: int = DEFAULT_PHOTON_CAP) -> "PureState":
-        modes = int(data["modes"])
+        """Load the ``to_json_dict`` form, rejecting anything it cannot write.
+
+        ``modes`` is an integer, every ``occ`` a list of integer pairs, and
+        ``re``/``im`` finite numbers; the norm² must be finite too.
+        """
+        modes = _integer(data["modes"], "modes")
         amps: dict[FockVector, complex] = {}
         for term in data["terms"]:
             vec = as_fock_vector(term["occ"])
             if vec in amps:
                 raise ValueError(f"duplicate term {vec}")
-            amps[vec] = complex(float(term["re"]), float(term.get("im", 0.0)))
+            amps[vec] = complex(
+                _json_number(term["re"], "re"), _json_number(term.get("im", 0.0), "im")
+            )
+        try:
+            norm2 = sum(abs(a) ** 2 for a in amps.values())
+        except OverflowError:
+            norm2 = math.inf
+        if not math.isfinite(norm2):
+            raise ValueError("the norm² of the state overflows")
         return PureState(modes, amps, photon_cap=photon_cap)
 
     def to_json(self) -> str:
@@ -297,6 +338,19 @@ def creation_apply(state: PureState, mode: int, rail: str) -> PureState:
         new_vec = vec[:mode] + (new_occ,) + vec[mode + 1 :]
         amps[new_vec] = amps.get(new_vec, 0j) + amp * math.sqrt(n + 1)
     return PureState(state.modes, amps, photon_cap=state.photon_cap)
+
+
+def _agree(a: PureState, b: PureState) -> bool:
+    """Same modes, cap and support, and every amplitude within PRUNE_EPS."""
+    amps = b._amps
+    if a.modes != b.modes or a.photon_cap != b.photon_cap or len(a._amps) != len(amps):
+        return False
+    # equal sizes, so every key of ``a`` found in ``b`` means equal supports
+    for vec, amp in a._amps.items():
+        other = amps.get(vec)
+        if other is None or abs(amp - other) >= PRUNE_EPS:
+            return False
+    return True
 
 
 # -- measurement records and ensembles -----------------------------------------
@@ -366,14 +420,26 @@ class Ensemble:
         ``.ensemble``). Each kept parent becomes one branch per stage branch,
         with weights multiplied and records concatenated; discarded parents
         pass through unchanged.
+
+        The stage runs once per distinct kept state: a parent whose state
+        agrees with one already staged in this call (same modes, photon cap
+        and support, every amplitude within ``PRUNE_EPS``) reuses that
+        result. ``stage`` must therefore be a pure function of its input.
         """
         out: list[Branch] = []
+        staged: list[tuple[PureState, Ensemble]] = []
         for parent in self.branches:
             if parent.disposition == "discard":
                 out.append(parent)
                 continue
-            sub = stage(parent.state)
-            for b in getattr(sub, "ensemble", sub).branches:
+            for state, sub in staged:
+                if _agree(state, parent.state):
+                    break
+            else:
+                result = stage(parent.state)
+                sub = getattr(result, "ensemble", result)
+                staged.append((parent.state, sub))
+            for b in sub.branches:
                 out.append(
                     Branch(parent.weight * b.weight, b.state, parent.record + b.record)
                 )

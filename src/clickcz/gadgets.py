@@ -26,6 +26,17 @@ def _require_normalized(state: PureState, what: str) -> None:
         raise SimulatorError(f"{what} must be normalized, got norm² {state.norm2!r}")
 
 
+def _require_two_qubits(state: PureState) -> None:
+    """Reject a controlled-phase input that is not two dual-rail qubits."""
+    if state.modes != 2:
+        raise ValueError("controlled-phase input must be a 2-mode state")
+    for vec in state._amps:
+        if any(n_h + n_v != 1 for n_h, n_v in vec):
+            raise SimulatorError(
+                f"controlled-phase input must hold one photon per mode, got term {vec}"
+            )
+
+
 @dataclass(frozen=True)
 class GadgetResult:
     """All branches of a gadget run; heralded success is the kept ones."""
@@ -230,8 +241,7 @@ def cz_gate(input_state: PureState, ancilla: PureState | None = None) -> GadgetR
     The input qubits fuse with the outer ancilla rails; the two inner
     ancilla rails carry the gate output after outcome-paired corrections.
     """
-    if input_state.modes != 2:
-        raise ValueError("controlled-phase input must be a 2-mode state")
+    _require_two_qubits(input_state)
     if ancilla is None:
         ancilla = states.t1_prime()
     if ancilla.modes != 4:
@@ -269,6 +279,7 @@ def cz_full_pipeline(
     partial records, successes end in the exact controlled-phase image of
     the input.
     """
+    _require_two_qubits(input_state)
     _require_normalized(input_state, "controlled-phase input")
     pair = bell_source().tensor(bell_source())
     first = b2g(pair, site="b2g1")

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clickcz import oracle
 from clickcz.cli import ConfigError, ExperimentConfig, _sample_outcomes, main, run
@@ -256,3 +257,121 @@ class TestInputBoundary:
         code, err = self._cz(tmp_path, terms, capsys)
         assert code == 2
         assert "must be normalized" in err
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            ({"occ": [[1], [1, 0]], "re": 1.0}, "not an (n_h, n_v) pair"),
+            ({"occ": [[1.7, 0], [1, 0]], "re": 1.0}, "must be an integer"),
+            ({"occ": [[1, 0, 5], [0, 1]], "re": 1.0}, "not an (n_h, n_v) pair"),
+            ({"occ": [[1, 0], [1, 0]], "re": "1"}, "re must be a number"),
+            ({"occ": [[1, 0], [1, 0]], "re": True}, "re must be a number"),
+            ({"occ": [[1, 0], [1, 0]], "re": 1e200}, "norm² of the state overflows"),
+        ],
+        ids=["ragged", "float", "triple", "string", "bool", "overflow"],
+    )
+    def test_malformed_term(self, tmp_path, capsys, term, message):
+        code, err = self._cz(tmp_path, [term], capsys)
+        assert code == 2
+        assert "malformed input state" in err
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "element, message",
+        [
+            ({"kind": "PR", "targets": [1], "theta": float("nan")}, "theta must be finite"),
+            ({"kind": "PR", "targets": [1.5], "theta": 0.3}, "target must be an integer"),
+            ({"kind": "PR", "targets": [1], "theta": float("inf")}, "theta must be finite"),
+        ],
+        ids=["nan-theta", "float-target", "infinite-theta"],
+    )
+    def test_bad_element(self, tmp_path, capsys, element, message):
+        state_path = tmp_path / "in.json"
+        state_path.write_text(states.qubit(1, 0).to_json())
+        circuit_path = tmp_path / "circuit.json"
+        circuit_path.write_text(json.dumps([element]))
+        argv = ["--experiment", "run-circuit", "--input", str(state_path)]
+        code = main(argv + ["--circuit", str(circuit_path), "--out", "/dev/null"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad element descriptor" in err
+        assert message in err
+
+    @pytest.mark.parametrize("experiment", ["cz", "pipeline"])
+    @pytest.mark.parametrize(
+        "occ", [[[2, 0], [0, 0]], [[0, 0], [0, 0]]], ids=["two-photon", "vacuum"]
+    )
+    def test_non_qubit_input(self, tmp_path, capsys, experiment, occ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"modes": 2, "terms": [{"occ": occ, "re": 1.0}]}))
+        code = main(["--experiment", experiment, "--input", str(path), "--out", "/dev/null"])
+        assert code == 2
+        assert "one photon per mode" in capsys.readouterr().err
+
+
+# Arbitrary JSON, and JSON shaped like the files the loaders expect.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+numbers = st.floats() | st.integers(-2, 2) | json_values
+pairs = st.lists(st.integers(0, 2), min_size=2, max_size=2) | json_values
+
+
+@st.composite
+def state_files(draw):
+    modes = draw(st.integers(0, 3))
+    occ = st.lists(pairs, min_size=modes, max_size=modes) | json_values
+    term = st.fixed_dictionaries({"occ": occ, "re": numbers}, optional={"im": numbers})
+    state = {
+        "modes": draw(st.just(modes) | json_values),
+        "terms": draw(st.lists(term, max_size=4)),
+    }
+    return draw(st.just(state) | json_values)
+
+
+element_files = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["BS", "PBS", "PR", "PS", "PDPS"]) | json_values,
+        "targets": st.lists(st.integers(0, 3) | json_values, min_size=1, max_size=2)
+        | json_values,
+    },
+    optional={"theta": numbers, "phi": numbers},
+)
+circuit_files = st.lists(element_files, max_size=4) | json_values
+fuzz_settings = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestLoaderFuzz:
+    """Any JSON file exits 0 or 2, and an exit-0 report is finite."""
+
+    @staticmethod
+    def _main(tmp_path, argv: list[str], files: dict[str, object]) -> None:
+        for name, data in files.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        out = tmp_path / "report.json"
+        out.unlink(missing_ok=True)
+        code = main(argv + ["--out", str(out)])
+        assert code in (0, 2)
+        if code == 0:
+            report = out.read_text()
+            assert "NaN" not in report and "Infinity" not in report
+
+    @fuzz_settings
+    @given(state=state_files())
+    def test_cz_input(self, tmp_path, state):
+        argv = ["--experiment", "cz", "--input", str(tmp_path / "in.json")]
+        self._main(tmp_path, argv, {"in.json": state})
+
+    @fuzz_settings
+    @given(state=state_files(), circuit=circuit_files)
+    def test_run_circuit(self, tmp_path, state, circuit):
+        argv = ["--experiment", "run-circuit", "--input", str(tmp_path / "in.json")]
+        argv += ["--circuit", str(tmp_path / "circuit.json")]
+        self._main(tmp_path, argv, {"in.json": state, "circuit.json": circuit})

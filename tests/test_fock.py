@@ -1,5 +1,6 @@
 import json
 import math
+from typing import Callable
 
 import pytest
 
@@ -9,6 +10,7 @@ from clickcz.fock import (
     Ensemble,
     ModeMismatchError,
     OutcomeEvent,
+    PRUNE_EPS,
     PureState,
     creation_apply,
     trace_out,
@@ -205,6 +207,66 @@ class TestThen:
             assert child.record == parent.record + part.record
             assert child.state.items() == part.state.items()
         assert [e.site for e in out.branches[1].record] == ["a", "b", "s2"]
+
+    @staticmethod
+    def _nudged(state: PureState, delta: float, **kwargs) -> PureState:
+        """``state`` with ``delta`` added to its first amplitude."""
+        (vec, amp), *rest = state.items()
+        return PureState(state.modes, {vec: amp + delta, **dict(rest)}, **kwargs)
+
+    def _counted(self, calls: list[PureState]) -> Callable[[PureState], Ensemble]:
+        """``_stage`` that appends every state it runs on to ``calls``."""
+
+        def stage(state: PureState) -> Ensemble:
+            calls.append(state)
+            return self._stage(state)
+
+        return stage
+
+    def _calls(self, first: PureState, second: PureState) -> list[PureState]:
+        calls: list[PureState] = []
+        parents = (Branch(0.5, first, (_event("p"),)), Branch(0.5, second, (_event("q"),)))
+        out = Ensemble(parents).then(self._counted(calls))
+        assert len(out.branches) == 4
+        assert out.total_weight == pytest.approx(1.0, abs=1e-15)
+        return calls
+
+    def test_agreeing_states_run_the_stage_once(self):
+        psi = states.ghz_plus()
+        close = self._nudged(psi, 1e-16)
+        assert close.items() != psi.items()
+        assert len(self._calls(psi, close)) == 1
+
+    def test_reused_branches_keep_their_parent_records(self):
+        psi = states.ghz_plus()
+        parents = (Branch(0.25, psi, (_event("p"),)), Branch(0.75, psi, (_event("q"),)))
+        out = Ensemble(parents).then(self._stage)
+        assert [b.label for b in out.branches] == ["p+s1", "p+s2", "q+s1", "q+s2"]
+        assert [b.weight for b in out.branches] == [0.1875, 0.0625, 0.5625, 0.1875]
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda psi: TestThen._nudged(psi, 2 * PRUNE_EPS),
+            lambda psi: PureState(
+                psi.modes, {**dict(psi.items()), ((0, 0),) * psi.modes: 1e-13}
+            ),
+            lambda psi: PureState(
+                psi.modes, dict(psi.items()), photon_cap=psi.photon_cap + 1
+            ),
+        ],
+        ids=["amplitude", "support", "photon_cap"],
+    )
+    def test_distinct_states_run_the_stage_twice(self, other):
+        psi = states.ghz_plus()
+        assert len(self._calls(psi, other(psi))) == 2
+
+    def test_stage_never_runs_on_discarded_parents(self):
+        calls: list[PureState] = []
+        dropped = Branch(0.5, states.v0h(), (_event("p", "discard"),))
+        kept = Branch(0.5, states.ghz_plus(), (_event("q"),))
+        Ensemble((dropped, kept, dropped)).then(self._counted(calls))
+        assert calls == [kept.state]
 
     def test_weight_conserved_through_g2a(self):
         pair = states.bell_phi_plus().tensor(states.bell_phi_plus())

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from clickcz.fock import Ensemble, PureState, SimulatorError
+from clickcz import gadgets
+from clickcz.fock import Branch, Ensemble, PureState, SimulatorError
 from clickcz.gadgets import (
     CZ_RULES,
     a2c,
@@ -272,6 +273,54 @@ class TestPipeline:
             assert sites[-2:] == ["a2c1", "a2c2"]
 
 
+class TestPipelineReuse:
+    """Every kept ancilla agrees, so the gate runs once for all of them."""
+
+    def test_cz_gate_runs_once(self, monkeypatch):
+        calls = []
+        gate = gadgets.cz_gate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return gate(*args, **kwargs)
+
+        monkeypatch.setattr(gadgets, "cz_gate", counting)
+        result = cz_full_pipeline(states.basis_two_qubit("HV"))
+        assert len(calls) == 1
+        assert result.success_probability == pytest.approx(1 / 32, abs=TOL)
+
+    def test_reused_branches_match_recomputed_ones(self):
+        psi = states.two_qubit(1, 1j, -1, 0.5)
+        pair = double_bell()
+        registers = b2g(pair, site="b2g1").ensemble.combine(
+            b2g(pair, site="b2g2").ensemble
+        )
+        # reference: the gate run by hand on every kept ancilla
+        expected = []
+        for parent in g2a(registers, site="g2a").ensemble.branches:
+            if parent.disposition == "discard":
+                expected.append(parent)
+                continue
+            for b in cz_gate(psi, ancilla=parent.state).ensemble.branches:
+                expected.append(
+                    Branch(parent.weight * b.weight, b.state, parent.record + b.record)
+                )
+        got = cz_full_pipeline(psi).ensemble.branches
+        assert len(got) == len(expected)
+        for mine, ref in zip(got, expected):
+            assert mine.label == ref.label
+            assert mine.disposition == ref.disposition
+            assert [e.disposition for e in mine.record] == [
+                e.disposition for e in ref.record
+            ]
+            assert mine.weight == pytest.approx(ref.weight, abs=TOL)
+            assert mine.state.modes == ref.state.modes
+            terms = dict(mine.state.items())
+            assert terms.keys() == dict(ref.state.items()).keys()
+            for vec, amp in ref.state.items():
+                assert abs(terms[vec] - amp) <= TOL
+
+
 class TestEntryPointsRequireNormalizedInput:
     @pytest.mark.parametrize(
         "run",
@@ -288,6 +337,14 @@ class TestEntryPointsRequireNormalizedInput:
     def test_unnormalized_input_raises(self, run):
         with pytest.raises(SimulatorError, match="must be normalized"):
             run()
+
+    @pytest.mark.parametrize("run", [cz_gate, cz_full_pipeline], ids=["cz_gate", "pipeline"])
+    @pytest.mark.parametrize(
+        "vec", [((2, 0), (0, 0)), ((0, 0), (0, 0))], ids=["two-photon", "vacuum"]
+    )
+    def test_non_qubit_input_raises(self, run, vec):
+        with pytest.raises(SimulatorError, match="one photon per mode"):
+            run(PureState(2, {vec: 1.0}))
 
     def test_rounding_noise_is_accepted(self):
         psi = states.basis_two_qubit("VV").scaled(1 + 1e-14)
