@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import json.encoder
 import sys
 import time
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import numpy as np
 from . import oracle, states
 from .detection import pid
 from .elements import ElementDescriptor, apply_circuit
-from .fock import PureState, SimulatorError
+from .fock import NORM_TOL, PureState, SimulatorError
 from .gadgets import B2G_RULES
 
 EXPERIMENTS = (
@@ -73,8 +74,77 @@ class ExperimentConfig:
             raise ConfigError(f"format must be 'json' or 'csv', got {self.fmt!r}")
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == json.encoder.INFINITY:
+        return "Infinity"
+    if x == -json.encoder.INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# How json.dumps writes each scalar type; subclasses use their base's entry.
+_JSON_SCALARS = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _dumps_indented(obj: object) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for the types a report holds.
+
+    Those are dicts with ``str`` keys, lists, tuples, ``str``, ``int``,
+    ``float`` (subclasses such as ``np.float64`` included), booleans and
+    ``None``; anything else raises ``TypeError``. A container met again at the
+    same depth is rendered once: rendered text is memoized on ``(id, depth)``.
+    That is sound because ``obj`` keeps the whole tree alive for the call, so
+    no id is reused within it. There is no cycle check; a report is a tree.
+    """
+    memo: dict[tuple[int, int], str] = {}
+
+    def render(o: object, depth: int) -> str:
+        scalar = _JSON_SCALARS.get(type(o))
+        if scalar is not None:
+            return scalar(o)
+        key = (id(o), depth)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = render_other(o, depth)
+        return text
+
+    def render_other(o: object, depth: int) -> str:
+        inner = "\n" + "  " * (depth + 1)
+        outer = "\n" + "  " * depth
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            # encode_basestring_ascii raises TypeError on a key that is not a str
+            encode_key = json.encoder.encode_basestring_ascii
+            body = ",".join(
+                f"{inner}{encode_key(k)}: {render(o[k], depth + 1)}" for k in sorted(o)
+            )
+            return "{" + body + outer + "}"
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            return "[" + ",".join(inner + render(v, depth + 1) for v in o) + outer + "]"
+        for base in (str, int, float):
+            if isinstance(o, base):
+                return _JSON_SCALARS[base](o)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    return render(obj, 0)
+
+
 @dataclass
 class RunReport:
+    """A run's outcomes and extras; entries of ``states`` may share one
+    ``state`` dict when their kept states are the same object."""
+
     experiment: str
     mode: str
     outcomes: list[dict] = field(default_factory=list)
@@ -102,7 +172,7 @@ class RunReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return _dumps_indented(self.to_json_dict()) + "\n"
 
     def to_csv(self) -> str:
         value_key = "frequency" if self.mode == "sample" else "probability"
@@ -141,14 +211,18 @@ def _sample_outcomes(
     """Draw outcome counts with a counter-seeded generator.
 
     Probabilities are consumed in canonical label order, so identical
-    configurations reproduce identical reports byte for byte. They are
-    rounded to ``_SAMPLING_DECIMALS`` places first: the binomial draws branch
-    on ``floor((n + 1) p)``, which for the paper's exact fractions sits on an
-    integer, so a last-bit change in an enumerated probability would
-    otherwise move a count.
+    configurations reproduce identical reports byte for byte. A set whose
+    sum is off from 1 by more than ``NORM_TOL`` is refused, not renormalized.
+    The rest are rounded to ``_SAMPLING_DECIMALS`` places first: the binomial
+    draws branch on ``floor((n + 1) p)``, which for the paper's exact
+    fractions sits on an integer, so a last-bit change in an enumerated
+    probability would otherwise move a count.
     """
     probs = np.array([p for _, _, p in aggregated], dtype=float)
-    probs = np.round(probs / probs.sum(), _SAMPLING_DECIMALS)
+    total = probs.sum()
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise SimulatorError(f"outcome probabilities sum to {total!r}, not 1")
+    probs = np.round(probs / total, _SAMPLING_DECIMALS)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(samples, probs)
     return [
@@ -196,11 +270,11 @@ def _gadget_report(config: ExperimentConfig, input_state: PureState | None) -> R
             for label, disposition, p in aggregated
         ]
     if config.emit_states:
-        report.states = [
-            {"label": r.label, "state": r.state.to_json_dict()}
-            for r in rows
-            if r.disposition == "keep"
-        ]
+        # kept branches share state objects; render each one once
+        kept = [r for r in rows if r.disposition == "keep"]
+        distinct = {id(r.state): r.state for r in kept}
+        rendered = {key: state.to_json_dict() for key, state in distinct.items()}
+        report.states = [{"label": r.label, "state": rendered[id(r.state)]} for r in kept]
     return report
 
 

@@ -54,6 +54,9 @@ class ElementDescriptor:
             raise ValueError("PR requires theta")
         if self.kind in ("PS", "PDPS") and self.phi is None:
             raise ValueError(f"{self.kind} requires phi")
+        for name, angle in (("theta", self.theta), ("phi", self.phi)):
+            if angle is not None and not math.isfinite(angle):
+                raise ValueError(f"{name} must be finite, got {angle!r}")
 
     def to_json_dict(self, *, one_based: bool = False) -> dict:
         shift = 1 if one_based else 0

@@ -142,18 +142,17 @@ def enumerate_exact(gadget: str, input_state: PureState | None = None) -> list[O
 
 
 def outcome_rows(ensemble: Ensemble) -> list[OutcomeRow]:
-    """One row per branch, in canonical order."""
+    """One row per branch, in canonical order.
+
+    Ties are broken by the sorted support of the state, computed once per
+    distinct state object (branches share states after ``Ensemble.then``).
+    """
     rows = [
         OutcomeRow(b.label, b.disposition, b.weight, b.state) for b in ensemble.branches
     ]
-    rows.sort(
-        key=lambda r: (
-            r.label,
-            r.disposition,
-            -r.probability,
-            tuple(vec for vec, _ in r.state.items()),
-        )
-    )
+    distinct = {id(r.state): r.state for r in rows}
+    support = {key: tuple(sorted(state._amps)) for key, state in distinct.items()}
+    rows.sort(key=lambda r: (r.label, r.disposition, -r.probability, support[id(r.state)]))
     return rows
 
 

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clickcz import oracle
-from clickcz.cli import ConfigError, ExperimentConfig, _sample_outcomes, main, run
-from clickcz.fock import PureState
+from clickcz.cli import (
+    EXPERIMENTS,
+    ConfigError,
+    ExperimentConfig,
+    _sample_outcomes,
+    main,
+    run,
+)
+from clickcz.fock import PureState, SimulatorError
 from clickcz import states
 
 TOL = 1e-12
@@ -180,6 +187,88 @@ class TestSampling:
                     q = math.nextafter(q, toward)
                     nudged = rows[:i] + [(label, disposition, q)] + rows[i + 1 :]
                     assert _sample_outcomes(nudged, 100_000, 20240803) == base, label
+
+
+    @pytest.mark.parametrize("total", [0.9, 1 + 2e-12])
+    def test_probabilities_off_from_one_refused(self, total):
+        rows = [("a", "keep", 0.5), ("b", "discard", total - 0.5)]
+        with pytest.raises(SimulatorError, match="sum to"):
+            _sample_outcomes(rows, 1000, 1)
+
+    def test_rounding_noise_accepted(self):
+        rows = [("a", "keep", 0.5), ("b", "discard", 0.5 + 1e-15)]
+        counts = _sample_outcomes(rows, 1000, 1)
+        assert sum(o["frequency"] for o in counts) == pytest.approx(1.0, abs=TOL)
+
+    def test_cli_exit_code_for_probabilities_off_from_one(self, monkeypatch, capsys):
+        aggregate = oracle.aggregate_probabilities
+
+        def short(rows):
+            return [(label, d, 0.9 * p) for label, d, p in aggregate(rows)]
+
+        monkeypatch.setattr(oracle, "aggregate_probabilities", short)
+        argv = ["--experiment", "b2g", "--mode", "sample", "--samples", "10", "--seed", "1"]
+        assert main(argv + ["--out", "/dev/null"]) == 2
+        assert "sum to" in capsys.readouterr().err
+
+
+def _config(experiment: str, mode: str, emit_states: bool, tmp_path) -> ExperimentConfig:
+    extra = {"samples": 1000, "seed": 5} if mode == "sample" else {}
+    if experiment == "run-circuit":
+        state_path, circuit_path = tmp_path / "in.json", tmp_path / "circuit.json"
+        state_path.write_text(states.qubit(1, 0).to_json())
+        circuit_path.write_text(json.dumps([{"kind": "PR", "targets": [1], "theta": 0.3}]))
+        extra.update(input_path=str(state_path), circuit_path=str(circuit_path))
+    return ExperimentConfig(experiment, mode=mode, emit_states=emit_states, **extra)
+
+
+class TestReportWriter:
+    """``to_json`` is the stdlib's ``sort_keys=True, indent=2`` rendering."""
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    @pytest.mark.parametrize("emit_states", [False, True])
+    def test_matches_stdlib(self, experiment, mode, emit_states, tmp_path):
+        report, _ = run(_config(experiment, mode, emit_states, tmp_path))
+        expected = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert report.to_json() == expected
+
+    def test_each_kept_state_rendered_once(self, monkeypatch):
+        calls = []
+        to_json_dict = PureState.to_json_dict
+
+        def counting(self):
+            calls.append(id(self))
+            return to_json_dict(self)
+
+        monkeypatch.setattr(PureState, "to_json_dict", counting)
+        report, _ = run(ExperimentConfig("pipeline", emit_states=True))
+        # 256 kept rows share 16 state objects after Ensemble.then's reuse
+        assert len(report.states) == 256
+        assert len(calls) == len(set(calls)) == 16
+        assert len({id(entry["state"]) for entry in report.states}) == 16
+
+    @pytest.mark.parametrize("experiment", ["cz", "pipeline"])
+    def test_outcome_rows_order_unchanged(self, experiment):
+        ensemble = oracle.GADGETS[experiment](None).ensemble
+        reference = sorted(
+            (
+                oracle.OutcomeRow(b.label, b.disposition, b.weight, b.state)
+                for b in ensemble.branches
+            ),
+            key=lambda r: (
+                r.label,
+                r.disposition,
+                -r.probability,
+                tuple(vec for vec, _ in r.state.items()),
+            ),
+        )
+        rows = oracle.outcome_rows(ensemble)
+
+        def fingerprint(rs):
+            return [(r.label, r.disposition, r.probability, id(r.state)) for r in rs]
+
+        assert fingerprint(rows) == fingerprint(reference)
 
 
 class TestMainEntry:

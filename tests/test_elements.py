@@ -181,6 +181,18 @@ class TestDescriptors:
         assert data["targets"] == [1, 5]
         assert ElementDescriptor.from_json_dict(data, one_based=True) == desc
 
+    @pytest.mark.parametrize("make", [pr, ps, pdps])
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, make, angle):
+        with pytest.raises(ValueError, match="must be finite"):
+            make(0, angle)
+
+    def test_non_finite_angle_rejected_by_constructor(self):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            ElementDescriptor("PR", (0,), math.inf)
+        with pytest.raises(ValueError, match="phi must be finite"):
+            ElementDescriptor("PS", (0,), phi=math.nan)
+
 
 class TestConservation:
     @pytest.mark.parametrize(

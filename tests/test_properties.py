@@ -1,11 +1,14 @@
 """Property suite: invariants that must hold for arbitrary states/elements."""
 
 import cmath
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from clickcz.cli import _dumps_indented
 from clickcz.detection import RuleAction, measure_nr, pid
 from clickcz.elements import _two_rail_transform, apply_element, bs, pbs, pdps, pr, ps
 from clickcz.fock import PRUNE_EPS, Ensemble, PureState, trace_out
@@ -244,3 +247,52 @@ def test_two_rail_transform_matches_direct_expansion(psi, pair, u):
     expected = _reference_two_rail(psi, pair[0], pair[1], u)
     for vec in set(expected) | {v for v, _ in out.items()}:
         assert abs(out.amplitude(vec) - expected.get(vec, 0j)) <= TOL
+
+
+# -- report writer -----------------------------------------------------------------
+
+_SHARED = object()  # stands for one shared subtree, substituted after drawing
+
+json_scalars = (
+    st.text(st.characters(blacklist_categories=("Cs",)))
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\u2028", "é", "\U0001f600"])
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | st.floats().map(np.float64)
+    | st.booleans()
+    | st.none()
+)
+
+
+def json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4),
+        max_leaves=20,
+    )
+
+
+def _substitute(tree, shared):
+    if tree is _SHARED:
+        return shared
+    if isinstance(tree, dict):
+        return {k: _substitute(v, shared) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(_substitute(v, shared) for v in tree)
+    return tree
+
+
+@given(
+    tree=json_trees(json_scalars | st.just(_SHARED)),
+    shared=json_trees(json_scalars),
+)
+@settings(max_examples=200, deadline=None)
+def test_report_writer_matches_stdlib(tree, shared):
+    # the shared subtree sits at several positions and depths, once more at depth 3
+    doc = [_substitute(tree, shared), shared, {"deep": [shared, shared]}]
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert _dumps_indented(doc) + "\n" == expected
