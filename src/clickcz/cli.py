@@ -137,7 +137,12 @@ def _dumps_indented(obj: object) -> str:
                 return _JSON_SCALARS[base](o)
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-    return render(obj, 0)
+    # render and render_other refer to each other, a cycle that only the
+    # garbage collector frees; emptying the memo frees the rendered text now
+    try:
+        return render(obj, 0)
+    finally:
+        memo.clear()
 
 
 @dataclass

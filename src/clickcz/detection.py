@@ -9,6 +9,7 @@ detection destroys coherence between photon-number sectors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -22,7 +23,9 @@ from .fock import (
     FeedForwardError,
     FockVector,
     OutcomeEvent,
+    PRUNE_EPS,
     PureState,
+    total_photons,
 )
 
 ClickPattern = tuple[bool, ...]
@@ -82,6 +85,69 @@ def _picker(indices: Sequence[int]) -> Callable[[FockVector], tuple]:
     return lambda vec: tuple([vec[i] for i in indices])
 
 
+def _partition(
+    state: PureState, modes: tuple[int, ...]
+) -> tuple[dict[FockVector, dict[FockVector, complex]], int]:
+    """Group the terms by the occupancy of ``modes``: occupancy → rest → amplitude.
+
+    The rest is the term with the measured modes removed. Also returns the
+    number of modes left. A mode out of range or repeated raises
+    ``ValueError`` before any term is read.
+    """
+    measured = set(modes)
+    if len(measured) != len(modes):
+        raise ValueError("measured modes must be distinct")
+    for m in modes:
+        if not 0 <= m < state.modes:
+            raise ValueError(f"mode {m} out of range")
+    rest = [i for i in range(state.modes) if i not in measured]
+    occ_of, rest_of = _picker(modes), _picker(rest)
+    groups: dict[FockVector, dict[FockVector, complex]] = {}
+    for vec, amp in state._amps.items():
+        groups.setdefault(occ_of(vec), {})[rest_of(vec)] = amp
+    return groups, len(rest)
+
+
+@functools.lru_cache(maxsize=None)
+def _reading(sector: FockVector, site_kind: str) -> tuple[ClickPattern, str]:
+    """Click pattern and outcome label of one photon-number sector.
+
+    Cached per sector and site kind; sectors hold at most the photon cap.
+    """
+    pattern = tuple(n_h + n_v > 0 for n_h, n_v in sector)
+    if site_kind == "raw":
+        return pattern, "".join("1" if c else "0" for c in pattern)
+    return pattern, interpret_pattern(pattern, site_kind)
+
+
+def _branches(
+    sectors: dict[FockVector, dict[FockVector, complex]],
+    site: str,
+    site_kind: str,
+    modes: int,
+    photon_cap: int,
+) -> Ensemble:
+    """One branch per photon-number sector of the measured rails.
+
+    ``sectors`` maps each sector to the unnormalized state of the surviving
+    modes. Sectors come out in sorted order; terms below ``PRUNE_EPS`` are
+    dropped first, and sectors left empty are omitted.
+    """
+    branches: list[Branch] = []
+    for sector in sorted(sectors):
+        sub = sectors[sector]
+        if min(map(abs, sub.values())) < PRUNE_EPS:
+            sub = {v: a for v, a in sub.items() if abs(a) >= PRUNE_EPS}
+            if not sub:
+                continue
+        weight = sum([abs(a) ** 2 for a in sub.values()])
+        scale = 1.0 / math.sqrt(weight)
+        post = PureState._trusted(modes, {v: a * scale for v, a in sub.items()}, photon_cap)
+        pattern, label = _reading(sector, site_kind)
+        branches.append(Branch(weight, post, (OutcomeEvent(site, pattern, label),)))
+    return Ensemble(tuple(branches))
+
+
 def measure_nr(
     state: PureState,
     modes: Sequence[int],
@@ -97,38 +163,60 @@ def measure_nr(
     patterns are omitted.
     """
     modes = tuple(modes)
-    for m in modes:
-        if not 0 <= m < state.modes:
-            raise ValueError(f"mode {m} out of range")
-    if len(set(modes)) != len(modes):
-        raise ValueError("measured modes must be distinct")
+    sectors, rest = _partition(state, modes)
     if site_kind is None:
         site_kind = {2: "pid", 4: "fusion"}.get(len(modes), "raw")
+    return _branches(sectors, site, site_kind, rest, state.photon_cap)
 
-    keep_idx = [i for i in range(state.modes) if i not in set(modes)]
-    sector_of, rest_of = _picker(modes), _picker(keep_idx)
-    sectors: dict[tuple, dict[FockVector, complex]] = {}
-    for vec, amp in state._amps.items():
-        sectors.setdefault(sector_of(vec), {})[rest_of(vec)] = amp
 
-    branches: list[Branch] = []
-    for sector in sorted(sectors):
-        sub = sectors[sector]
-        weight = sum(abs(a) ** 2 for a in sub.values())
-        if weight <= 0.0:
-            continue
-        pattern = tuple(occ[0] + occ[1] > 0 for occ in sector)
-        if site_kind == "raw":
-            label = "".join("1" if c else "0" for c in pattern)
-        else:
-            label = interpret_pattern(pattern, site_kind)
-        scale = 1.0 / math.sqrt(weight)
-        post = PureState._trusted(
-            len(keep_idx), {v: a * scale for v, a in sub.items()}, state.photon_cap
-        )
-        event = OutcomeEvent(site=site, pattern=pattern, label=label)
-        branches.append(Branch(weight, post, (event,)))
-    return Ensemble(tuple(branches))
+# The optics in front of a site's detectors: maps a state of the measured
+# modes alone to the state on the detector rails and the rails in reporting
+# order. Every output mode must be a detector rail.
+Optics = Callable[[PureState], tuple[PureState, tuple[int, ...]]]
+
+
+@functools.lru_cache(maxsize=None)
+def _transfer(optics: Optics, occ: FockVector) -> tuple[tuple[FockVector, complex], ...]:
+    """Detector-rail image of the measured modes' occupancy ``occ``.
+
+    Runs the site's optics on the one-term state |occ⟩ and returns its
+    (sector, coefficient) pairs. Keyed by the optics and the occupancy only,
+    so the photon cap bounds the cache; ``optics`` must be a module-level
+    function, not a closure made per call.
+    """
+    local = PureState._trusted(len(occ), {occ: 1 + 0j}, total_photons(occ))
+    out, rails = optics(local)
+    sector_of = _picker(rails)
+    return tuple((sector_of(vec), amp) for vec, amp in out._amps.items())
+
+
+def _readout(
+    state: PureState,
+    modes: Sequence[int],
+    optics: Optics,
+    site: str,
+    site_kind: str,
+) -> Ensemble:
+    """Measure ``modes`` behind fixed optics in one pass over the terms.
+
+    Equivalent to running ``optics`` on the measured modes of the whole
+    state and then ``measure_nr`` on the detector rails, but the optics act
+    on each occupancy of the measured modes once, through ``_transfer``, and
+    the rest of every term is carried along unchanged.
+    """
+    groups, rest = _partition(state, tuple(modes))
+    sectors: dict[FockVector, dict[FockVector, complex]] = {}
+    for occ, terms in groups.items():
+        for sector, coeff in _transfer(optics, occ):
+            sub = sectors.get(sector)
+            if sub is None:
+                # adding to 0j turns a -0.0 part into 0.0, as the sums in the
+                # element kernels do, so reports print the same zeros
+                sectors[sector] = {v: 0j + a * coeff for v, a in terms.items()}
+                continue
+            for vec, amp in terms.items():
+                sub[vec] = sub.get(vec, 0j) + amp * coeff
+    return _branches(sectors, site, site_kind, rest, state.photon_cap)
 
 
 @dataclass(frozen=True)
@@ -187,6 +275,11 @@ def pid_split(state: PureState, mode: int) -> tuple[PureState, int]:
     return apply_pbs(widened, mode, fresh), fresh
 
 
+def _pid_optics(state: PureState) -> tuple[PureState, tuple[int, int]]:
+    split, fresh = pid_split(state, 0)
+    return split, (0, fresh)
+
+
 def pid(
     state: PureState,
     mode: int,
@@ -200,6 +293,5 @@ def pid(
     measured rails disappear from the surviving states.  Corrective element
     targets refer to post-measurement mode indices.
     """
-    split, fresh = pid_split(state, mode)
-    measured = measure_nr(split, (mode, fresh), site=site, site_kind="pid")
+    measured = _readout(state, (mode,), _pid_optics, site, "pid")
     return apply_feed_forward(measured, rules)

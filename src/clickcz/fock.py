@@ -374,22 +374,53 @@ class OutcomeEvent:
         }
 
 
+class _computed_once:
+    """A read-only attribute computed on first access, then stored on the instance.
+
+    Like ``functools.cached_property``, whose lock before Python 3.12 costs
+    more than the computation it saves here. The stored value shadows this
+    non-data descriptor, so later reads are plain attribute lookups. It is
+    stored with ``object.__setattr__``, which a frozen dataclass allows and
+    which, unlike writing to ``__dict__``, does not build a dict per instance.
+    """
+
+    def __init__(self, compute: Callable) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.compute(instance)
+        object.__setattr__(instance, self.name, value)
+        return value
+
+
 @dataclass(frozen=True)
 class Branch:
-    """A weighted pure state tagged with its classical outcome record."""
+    """A weighted pure state tagged with its classical outcome record.
+
+    ``disposition`` and ``label`` derive from the record; each is computed
+    once per branch, on first access.
+    """
 
     weight: float
     state: PureState
     record: tuple[OutcomeEvent, ...] = ()
 
-    @property
+    @_computed_once
     def disposition(self) -> str:
-        return "discard" if any(e.disposition == "discard" for e in self.record) else "keep"
+        """``'discard'`` if any event of the record was discarded, else ``'keep'``."""
+        for e in self.record:
+            if e.disposition == "discard":
+                return "discard"
+        return "keep"
 
-    @property
+    @_computed_once
     def label(self) -> str:
         """Joined outcome labels, e.g. ``'Hn0'`` or ``'3+1'`` for two sites."""
-        return "+".join(e.label for e in self.record) if self.record else ""
+        return "+".join([e.label for e in self.record])
 
 
 @dataclass(frozen=True)

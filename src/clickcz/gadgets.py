@@ -9,11 +9,11 @@ recomputed from branch weights on every access.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import states
-from .detection import RuleAction, apply_feed_forward, measure_nr, pid, pid_split
+from .detection import RuleAction, _readout, apply_feed_forward, pid, pid_split
 from .elements import apply_bs, apply_pbs, apply_pdps, apply_pr, pdps, pr, ps
 from .fock import Branch, Ensemble, PureState, SimulatorError
 
@@ -102,6 +102,10 @@ def ecc_optics(
     return out, (mode_a, mode_b, rail_va, rail_vb)
 
 
+def _ecc_site_optics(pair: PureState) -> tuple[PureState, tuple[int, int, int, int]]:
+    return ecc_optics(pair, 0, 1)
+
+
 ECC_RULES = {
     **{label: RuleAction() for label in ("3", "4", "5", "6")},
     **{
@@ -118,8 +122,7 @@ def ecc(state: PureState, mode_a: int, mode_b: int, site: str = "ecc") -> Ensemb
     filter, so it can never produce two clicks; silence on all four rails
     is the unique double-damage signature.
     """
-    pre, rails = ecc_optics(state, mode_a, mode_b)
-    measured = measure_nr(pre, rails, site=site, site_kind="fusion")
+    measured = _readout(state, (mode_a, mode_b), _ecc_site_optics, site, "fusion")
     return apply_feed_forward(measured, ECC_RULES)
 
 
@@ -172,13 +175,15 @@ A2C_RULES = {
 }
 
 
+def _a2c_optics(pair: PureState) -> tuple[PureState, tuple[int, int, int, int]]:
+    mixed = apply_bs(pair, 0, 1)
+    split, rail_vx = pid_split(mixed, 0)
+    split, rail_vy = pid_split(split, 1)
+    return split, (0, 1, rail_vx, rail_vy)
+
+
 def _a2c_readout(state: PureState, mode_x: int, mode_y: int, site: str) -> Ensemble:
-    mixed = apply_bs(state, mode_x, mode_y)
-    split, rail_vx = pid_split(mixed, mode_x)
-    split, rail_vy = pid_split(split, mode_y)
-    return measure_nr(
-        split, (mode_x, mode_y, rail_vx, rail_vy), site=site, site_kind="fusion"
-    )
+    return _readout(state, (mode_x, mode_y), _a2c_optics, site, "fusion")
 
 
 def a2c(state: PureState, mode_x: int, mode_y: int, site: str = "a2c") -> Ensemble:
@@ -281,10 +286,16 @@ def cz_full_pipeline(
     """
     _require_two_qubits(input_state)
     _require_normalized(input_state, "controlled-phase input")
-    pair = bell_source().tensor(bell_source())
-    first = b2g(pair, site="b2g1")
-    second = b2g(pair, site="b2g2")
-    registers = first.ensemble.combine(second.ensemble)
+    # both conversions start from the same Bell pairs, so the second reuses
+    # the first's branches under its own site name
+    first = b2g(bell_source().tensor(bell_source()), site="b2g1").ensemble
+    second = Ensemble(
+        tuple(
+            Branch(b.weight, b.state, tuple(replace(e, site="b2g2") for e in b.record))
+            for b in first.branches
+        )
+    )
+    registers = first.combine(second)
     converted = g2a(registers, site="g2a").ensemble
     gated = converted.then(lambda ancilla: cz_gate(input_state, ancilla=ancilla))
     return PipelineResult(gated, ancilla_probability=converted.keep_weight)

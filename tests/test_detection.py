@@ -2,16 +2,19 @@ import math
 
 import pytest
 
+from clickcz import detection, gadgets
 from clickcz.detection import (
     RuleAction,
+    _readout,
+    _transfer,
     apply_feed_forward,
     interpret_pattern,
     measure_nr,
     pid,
     pid_split,
 )
-from clickcz.elements import pdps
-from clickcz.fock import ConsistencyError, FeedForwardError, PureState
+from clickcz.elements import apply_pr, pdps
+from clickcz.fock import DEFAULT_PHOTON_CAP, ConsistencyError, FeedForwardError, PureState
 from clickcz.gadgets import B2G_RULES
 from clickcz import states
 
@@ -173,6 +176,52 @@ class TestPid:
         out = pid(states.bell_phi_plus(), 1, NO_OP_RULES)
         for branch in out.branches:
             assert branch.state.modes == 1
+
+    @pytest.mark.parametrize("mode", [2, -1], ids=["past-the-end", "negative"])
+    def test_mode_out_of_range_raises(self, mode):
+        with pytest.raises(ValueError, match="out of range"):
+            pid(states.bell_phi_plus(), mode, NO_OP_RULES)
+
+
+# The three detector sites: (optics, number of measured modes).
+SITE_OPTICS = [
+    (detection._pid_optics, 1),
+    (gadgets._ecc_site_optics, 2),
+    (gadgets._a2c_optics, 2),
+]
+
+
+class TestTransferTable:
+    """The readout kernel caches each site's optics per occupancy, nothing more."""
+
+    def test_cache_is_keyed_by_occupancy(self, rng):
+        _transfer.cache_clear()
+        seen = set()
+        for _ in range(100):
+            # a fresh angle per state: a key on a state or an angle would grow
+            psi = apply_pr(random_state(rng, 3), 0, rng.uniform(-math.pi, math.pi))
+            for optics, k in SITE_OPTICS:
+                modes = tuple(rng.sample(range(3), k))
+                _readout(psi, modes, optics, "t", "raw")
+                seen |= {(optics, tuple(vec[m] for m in modes)) for vec in psi._amps}
+        # at most one entry per optics and occupancy of its measured modes
+        cap = DEFAULT_PHOTON_CAP
+        bound = sum(math.comb(cap + 2 * k, 2 * k) for _optics, k in SITE_OPTICS)
+        assert _transfer.cache_info().currsize == len(seen) <= bound
+
+    def test_warm_cache_runs_no_optics(self, monkeypatch):
+        psi = states.two_qubit(1, 1j, -1, 0.5)
+        gadgets.cz_gate(psi)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return pid_split(*args)
+
+        monkeypatch.setattr(detection, "pid_split", counting)
+        monkeypatch.setattr(gadgets, "pid_split", counting)
+        gadgets.cz_gate(states.two_qubit(0.5, -1, 1j, 1))
+        assert calls == []
 
 
 class TestRecordSerialization:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from clickcz import gadgets
-from clickcz.fock import Branch, Ensemble, PureState, SimulatorError
+from clickcz.fock import Branch, ConsistencyError, Ensemble, PureState, SimulatorError
 from clickcz.gadgets import (
     CZ_RULES,
     a2c,
@@ -319,6 +319,26 @@ class TestPipelineReuse:
             assert terms.keys() == dict(ref.state.items()).keys()
             for vec, amp in ref.state.items():
                 assert abs(terms[vec] - amp) <= TOL
+
+
+class TestReadoutModes:
+    """The fusion and filter sites reject bad modes before reading any term."""
+
+    @pytest.mark.parametrize("gadget", [a2c, ecc], ids=["a2c", "ecc"])
+    @pytest.mark.parametrize(
+        "modes,message",
+        [((0, 2), "out of range"), ((-1, 1), "out of range"), ((1, 1), "distinct")],
+        ids=["past-the-end", "negative", "repeated"],
+    )
+    def test_bad_modes_raise(self, gadget, modes, message):
+        with pytest.raises(ValueError, match=message):
+            gadget(states.basis_two_qubit("HV"), *modes)
+
+    def test_three_clicks_are_inconsistent(self):
+        # two photons in one input and one in the other can fire three rails
+        psi = PureState(2, {((2, 0), H): 1.0})
+        with pytest.raises(ConsistencyError):
+            a2c(psi, 0, 1)
 
 
 class TestEntryPointsRequireNormalizedInput:

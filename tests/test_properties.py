@@ -6,13 +6,29 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
+from clickcz import detection, gadgets, states
 from clickcz.cli import _dumps_indented
-from clickcz.detection import RuleAction, measure_nr, pid
-from clickcz.elements import _two_rail_transform, apply_element, bs, pbs, pdps, pr, ps
-from clickcz.fock import PRUNE_EPS, Ensemble, PureState, trace_out
-from clickcz import states
+from clickcz.detection import RuleAction, _readout, measure_nr, pid, pid_split
+from clickcz.elements import (
+    _two_rail_transform,
+    apply_bs,
+    apply_element,
+    bs,
+    pbs,
+    pdps,
+    pr,
+    ps,
+)
+from clickcz.fock import (
+    DEFAULT_PHOTON_CAP,
+    PRUNE_EPS,
+    ConsistencyError,
+    Ensemble,
+    PureState,
+    trace_out,
+)
 
 TOL = 1e-12
 
@@ -247,6 +263,76 @@ def test_two_rail_transform_matches_direct_expansion(psi, pair, u):
     expected = _reference_two_rail(psi, pair[0], pair[1], u)
     for vec in set(expected) | {v for v, _ in out.items()}:
         assert abs(out.amplitude(vec) - expected.get(vec, 0j)) <= TOL
+
+
+# -- detector readout ---------------------------------------------------------------
+
+
+def _pid_reference(state, modes, site, kind):
+    split, fresh = pid_split(state, modes[0])
+    return measure_nr(split, (modes[0], fresh), site, kind)
+
+
+def _ecc_reference(state, modes, site, kind):
+    pre, rails = gadgets.ecc_optics(state, *modes)
+    return measure_nr(pre, rails, site, kind)
+
+
+def _a2c_reference(state, modes, site, kind):
+    mode_x, mode_y = modes
+    split, rail_vx = pid_split(apply_bs(state, mode_x, mode_y), mode_x)
+    split, rail_vy = pid_split(split, mode_y)
+    return measure_nr(split, (mode_x, mode_y, rail_vx, rail_vy), site, kind)
+
+
+# Each site's optics, its site kind, its number of measured modes, and the
+# optics run on the whole state followed by ``measure_nr``.
+READOUT_SITES = {
+    "pid": (detection._pid_optics, "pid", 1, _pid_reference),
+    "ecc": (gadgets._ecc_site_optics, "fusion", 2, _ecc_reference),
+    "a2c": (gadgets._a2c_optics, "fusion", 2, _a2c_reference),
+}
+
+readout_occupancies = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
+
+
+@st.composite
+def readout_states(draw):
+    """States on 3-5 modes with amplitudes well clear of the prune threshold."""
+    m = draw(st.integers(3, 5))
+    amps = {}
+    for _ in range(draw(st.integers(1, 6))):
+        vec = tuple(draw(readout_occupancies) for _ in range(m))
+        if sum(h + v for h, v in vec) <= DEFAULT_PHOTON_CAP:
+            amps[vec] = draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=1))
+    assume(amps)
+    return PureState(m, amps).normalized()
+
+
+@pytest.mark.parametrize("name", sorted(READOUT_SITES))
+@given(data=st.data(), psi=readout_states())
+@settings(max_examples=100, deadline=None)
+def test_readout_matches_optics_then_measurement(name, data, psi):
+    optics, site_kind, k, reference = READOUT_SITES[name]
+    modes = tuple(data.draw(st.permutations(range(psi.modes)))[:k])
+    # raw labels never raise, so every draw of those compares branches
+    kind = data.draw(st.sampled_from([site_kind, "raw"]))
+    try:
+        expected = reference(psi, modes, "s", kind).branches
+    except ConsistencyError:  # three or more clicks at a fusion site
+        event("inconsistent")
+        with pytest.raises(ConsistencyError):
+            _readout(psi, modes, optics, "s", kind)
+        return
+    got = _readout(psi, modes, optics, "s", kind).branches
+    # same sectors in the same order: records, supports and amplitudes agree
+    assert [b.record for b in got] == [b.record for b in expected]
+    for mine, ref in zip(got, expected):
+        assert abs(mine.weight - ref.weight) <= TOL
+        assert mine.state.modes == ref.state.modes
+        assert mine.state._amps.keys() == ref.state._amps.keys()
+        for vec, amp in ref.state._amps.items():
+            assert abs(mine.state._amps[vec] - amp) <= TOL
 
 
 # -- report writer -----------------------------------------------------------------
