@@ -42,6 +42,9 @@ EXPERIMENTS = (
 # Enumerated probabilities are trusted to NORM_TOL (1e-12), not to the last bit.
 _SAMPLING_DECIMALS = 12
 
+# numpy draws multinomial counts as 64-bit signed integers.
+_MAX_SAMPLES = 2**63 - 1
+
 
 class ConfigError(Exception):
     """Bad experiment configuration (exit code 2)."""
@@ -68,6 +71,8 @@ class ExperimentConfig:
         if self.mode == "sample":
             if self.samples is None or self.samples < 1:
                 raise ConfigError("sample mode requires --samples >= 1")
+            if self.samples > _MAX_SAMPLES:
+                raise ConfigError(f"--samples must be at most 2**63 - 1, got {self.samples}")
             if self.seed is None:
                 raise ConfigError("sample mode requires --seed")
         if self.fmt not in ("json", "csv"):
@@ -193,14 +198,14 @@ def _load_state(path: str) -> PureState:
     text = Path(path).read_text()
     try:
         return PureState.from_json(text)
-    except (KeyError, TypeError, ValueError, SimulatorError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError, SimulatorError) as exc:
         raise ConfigError(f"malformed input state in {path}: {exc}") from exc
 
 
 def _load_circuit(path: str) -> list[ElementDescriptor]:
     try:
         data = json.loads(Path(path).read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed circuit JSON in {path}: {exc}") from exc
     if not isinstance(data, list):
         raise ConfigError("a circuit file must be a JSON array of element descriptors")
@@ -233,6 +238,13 @@ def _sample_outcomes(
     return [
         {"label": label, "disposition": disposition, "frequency": count / samples}
         for (label, disposition, _), count in zip(aggregated, counts)
+    ]
+
+
+def _probability_outcomes(aggregated: list[tuple[str, str, float]]) -> list[dict]:
+    return [
+        {"label": label, "disposition": disposition, "probability": p}
+        for label, disposition, p in aggregated
     ]
 
 
@@ -270,10 +282,7 @@ def _gadget_report(config: ExperimentConfig, input_state: PureState | None) -> R
         report.seed = config.seed
         report.outcomes = _sample_outcomes(aggregated, config.samples, config.seed)
     else:
-        report.outcomes = [
-            {"label": label, "disposition": disposition, "probability": p}
-            for label, disposition, p in aggregated
-        ]
+        report.outcomes = _probability_outcomes(aggregated)
     if config.emit_states:
         # kept branches share state objects; render each one once
         kept = [r for r in rows if r.disposition == "keep"]
@@ -289,25 +298,14 @@ def _pid_chain_report(config: ExperimentConfig) -> RunReport:
         raise ConfigError(f"pid-chain depth must be in 2..8, got {d}")
     ensemble = pid(states.phi_plus(d), d - 1, B2G_RULES, site="pid-chain")
     target = states.phi_plus(d - 1)
-    outcomes = []
-    worst_fidelity = 1.0
-    for branch in ensemble.branches:
-        fid = abs(branch.state.inner_product(target)) ** 2
-        worst_fidelity = min(worst_fidelity, fid)
-        outcomes.append(
-            {
-                "label": branch.record[-1].label,
-                "disposition": branch.disposition,
-                "probability": branch.weight,
-            }
-        )
-    outcomes.sort(key=lambda r: (r["label"], r["disposition"]))
+    fidelities = [abs(b.state.inner_product(target)) ** 2 for b in ensemble.branches]
+    aggregated = oracle.aggregate_probabilities(oracle.outcome_rows(ensemble))
     return RunReport(
         experiment="pid-chain",
         mode="enumerate",
-        outcomes=outcomes,
+        outcomes=_probability_outcomes(aggregated),
         success_probability=ensemble.keep_weight,
-        extras={"depth": d, "fidelity": worst_fidelity},
+        extras={"depth": d, "fidelity": min([1.0, *fidelities])},
     )
 
 
@@ -371,39 +369,27 @@ def _write_report(report: RunReport, config: ExperimentConfig) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; an omitted flag keeps its ``ExperimentConfig`` default."""
     parser = argparse.ArgumentParser(
         prog="clickcz",
         description="Polarization-encoded linear-optics experiments with bucket detectors.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--experiment", required=True, choices=EXPERIMENTS)
-    parser.add_argument("--mode", default="enumerate", choices=("enumerate", "sample"))
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--input", dest="input_path", default=None, metavar="FILE")
-    parser.add_argument("--circuit", dest="circuit_path", default=None, metavar="FILE")
-    parser.add_argument("--out", dest="out_path", default=None, metavar="FILE")
-    parser.add_argument("--format", dest="fmt", default="json", choices=("json", "csv"))
+    parser.add_argument("--mode", choices=("enumerate", "sample"))
+    parser.add_argument("--samples", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--input", dest="input_path", metavar="FILE")
+    parser.add_argument("--circuit", dest="circuit_path", metavar="FILE")
+    parser.add_argument("--out", dest="out_path", metavar="FILE")
+    parser.add_argument("--format", dest="fmt", choices=("json", "csv"))
     parser.add_argument("--emit-states", action="store_true")
-    parser.add_argument(
-        "--depth", type=int, default=4, help="chain length for the pid-chain experiment"
-    )
+    parser.add_argument("--depth", type=int, help="chain length for the pid-chain experiment")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = ExperimentConfig(
-        experiment=args.experiment,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-        input_path=args.input_path,
-        circuit_path=args.circuit_path,
-        out_path=args.out_path,
-        fmt=args.fmt,
-        emit_states=args.emit_states,
-        depth=args.depth,
-    )
+    config = ExperimentConfig(**vars(build_parser().parse_args(argv)))
     started = time.perf_counter()
     try:
         report, code = run(config)

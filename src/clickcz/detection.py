@@ -41,8 +41,6 @@ _FUSION_TWO_CLICK = {
     frozenset({2, 3}): "6",
 }
 
-PID_LABELS = ("Hn0", "0Vn", "00", "HnVn")
-
 
 def interpret_pattern(pattern: Sequence[bool], site_kind: str) -> str:
     """Map a click pattern to its classical outcome label.

@@ -100,7 +100,9 @@ class PureState:
     Amplitudes below the prune threshold are dropped so that interference
     cancellation cannot leave phantom terms behind.
 
-    The constructor validates its input: every basis vector must have
+    The constructor validates its input: ``modes`` and ``photon_cap`` must be
+    non-negative integers (``TypeError`` for a float, string or boolean,
+    ``ValueError`` below zero), every basis vector must have
     ``modes`` entries and at most ``photon_cap`` photons, and every amplitude
     must be finite. Library operations whose results satisfy both by
     construction skip these checks through ``_trusted``.
@@ -115,8 +117,10 @@ class PureState:
         *,
         photon_cap: int = DEFAULT_PHOTON_CAP,
     ) -> None:
-        self.modes = int(modes)
-        self.photon_cap = int(photon_cap)
+        self.modes = _integer(modes, "modes")
+        self.photon_cap = _integer(photon_cap, "photon_cap")
+        if self.modes < 0 or self.photon_cap < 0:
+            raise ValueError(f"negative modes {modes!r} or photon_cap {photon_cap!r}")
         amps: dict[FockVector, complex] = {}
         for vec, amp in (amplitudes or {}).items():
             if len(vec) != self.modes:
@@ -245,18 +249,6 @@ class PureState:
         }
         return PureState._trusted(self.modes, amps, self.photon_cap)
 
-    def drop_modes(self, modes: Sequence[int]) -> "PureState":
-        """Remove the given modes from every basis vector (no projection)."""
-        drop = set(modes)
-        amps: dict[FockVector, complex] = {}
-        for vec, amp in self._amps.items():
-            kept = tuple(m for i, m in enumerate(vec) if i not in drop)
-            if kept in amps:
-                amps[kept] += amp
-            else:
-                amps[kept] = amp
-        return PureState(self.modes - len(drop), amps, photon_cap=self.photon_cap)
-
     def inner_product(self, other: "PureState") -> complex:
         """⟨self|other⟩ over the sparse intersection."""
         if self.modes != other.modes:
@@ -374,42 +366,18 @@ class OutcomeEvent:
         }
 
 
-class _computed_once:
-    """A read-only attribute computed on first access, then stored on the instance.
-
-    Like ``functools.cached_property``, whose lock before Python 3.12 costs
-    more than the computation it saves here. The stored value shadows this
-    non-data descriptor, so later reads are plain attribute lookups. It is
-    stored with ``object.__setattr__``, which a frozen dataclass allows and
-    which, unlike writing to ``__dict__``, does not build a dict per instance.
-    """
-
-    def __init__(self, compute: Callable) -> None:
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self.compute(instance)
-        object.__setattr__(instance, self.name, value)
-        return value
-
-
 @dataclass(frozen=True)
 class Branch:
     """A weighted pure state tagged with its classical outcome record.
 
-    ``disposition`` and ``label`` derive from the record; each is computed
-    once per branch, on first access.
+    ``disposition`` and ``label`` derive from the record on each read.
     """
 
     weight: float
     state: PureState
     record: tuple[OutcomeEvent, ...] = ()
 
-    @_computed_once
+    @property
     def disposition(self) -> str:
         """``'discard'`` if any event of the record was discarded, else ``'keep'``."""
         for e in self.record:
@@ -417,7 +385,7 @@ class Branch:
                 return "discard"
         return "keep"
 
-    @_computed_once
+    @property
     def label(self) -> str:
         """Joined outcome labels, e.g. ``'Hn0'`` or ``'3+1'`` for two sites."""
         return "+".join([e.label for e in self.record])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from . import states
 from .detection import RuleAction, _readout, apply_feed_forward, pid, pid_split
@@ -275,9 +274,7 @@ class PipelineResult(GadgetResult):
     ancilla_probability: float
 
 
-def cz_full_pipeline(
-    input_state: PureState, bell_source: Callable[[], PureState] = states.bell_phi_plus
-) -> PipelineResult:
+def cz_full_pipeline(input_state: PureState) -> PipelineResult:
     """Compose two Bell-to-GHZ runs, the ancilla conversion, and the gate.
 
     Returns every branch of the whole tree: failed conversions keep their
@@ -288,7 +285,8 @@ def cz_full_pipeline(
     _require_normalized(input_state, "controlled-phase input")
     # both conversions start from the same Bell pairs, so the second reuses
     # the first's branches under its own site name
-    first = b2g(bell_source().tensor(bell_source()), site="b2g1").ensemble
+    bell = states.bell_phi_plus()
+    first = b2g(bell.tensor(bell), site="b2g1").ensemble
     second = Ensemble(
         tuple(
             Branch(b.weight, b.state, tuple(replace(e, site="b2g2") for e in b.record))

@@ -5,7 +5,6 @@ tables and stated probabilities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -213,23 +212,15 @@ def _two_mode_input(key: str) -> PureState:
     return PureState(2, {(occ[key[0]], occ[key[1]]): 1.0})
 
 
-def _verify_table1() -> TableReport:
+def _verify_filter_table(table_id: int, goldens: Mapping[str, Mapping]) -> TableReport:
+    """Tables 1 and 2: the error filter's pre-detection output per input key."""
     rows = []
-    for key, golden in tables.TABLE1.items():
+    for key, golden in goldens.items():
         pre, rail_order = ecc_optics(_two_mode_input(key), 0, 1)
         assert rail_order == (0, 1, 2, 3)
         ok, dev, phase = match_up_to_phase(pre, golden)
         rows.append(RowReport(key, ok, dev, phase))
-    return TableReport(1, tuple(rows))
-
-
-def _verify_table2() -> TableReport:
-    rows = []
-    for key in tables.TABLE2:
-        pre, _ = ecc_optics(_two_mode_input(key), 0, 1)
-        ok, dev, phase = match_up_to_phase(pre, tables.table2_state(key))
-        rows.append(RowReport(key, ok, dev, phase))
-    return TableReport(2, tuple(rows))
+    return TableReport(table_id, tuple(rows))
 
 
 def _verify_table3() -> TableReport:
@@ -277,7 +268,12 @@ def _verify_table4() -> TableReport:
 
 def verify_table(table_id: int) -> TableReport:
     """Re-run the relevant gadget and compare against the golden table."""
-    verifiers = {1: _verify_table1, 2: _verify_table2, 3: _verify_table3, 4: _verify_table4}
+    verifiers = {
+        1: lambda: _verify_filter_table(1, tables.TABLE1),
+        2: lambda: _verify_filter_table(2, {k: tables.table2_state(k) for k in tables.TABLE2}),
+        3: _verify_table3,
+        4: _verify_table4,
+    }
     if table_id not in verifiers:
         raise ValueError(f"table id must be 1..4, got {table_id}")
     return verifiers[table_id]()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .fock import DEFAULT_PHOTON_CAP, PureState
+from .fock import PureState
 
 H = (1, 0)
 V = (0, 1)
@@ -44,15 +44,11 @@ def two_qubit(a_hh: complex, a_hv: complex, a_vh: complex, a_vv: complex) -> Pur
     )
 
 
-def phi_plus(d: int = 2, *, photon_cap: int = DEFAULT_PHOTON_CAP) -> PureState:
+def phi_plus(d: int = 2) -> PureState:
     """Polarization-entangled chain (|H⟩^⊗d + |V⟩^⊗d)/√2; d=2 is the Bell pair."""
     if d < 1:
         raise ValueError("chain length must be at least 1")
-    return PureState(
-        d,
-        {(H,) * d: _INV_SQRT2, (V,) * d: _INV_SQRT2},
-        photon_cap=photon_cap,
-    )
+    return PureState(d, {(H,) * d: _INV_SQRT2, (V,) * d: _INV_SQRT2})
 
 
 def phi_minus(d: int = 2) -> PureState:

@@ -1,19 +1,23 @@
+import dataclasses
 import json
 import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from clickcz import oracle
+from clickcz import cli, oracle
 from clickcz.cli import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
+    RunReport,
     _sample_outcomes,
     main,
     run,
 )
+from clickcz.detection import pid
 from clickcz.fock import PureState, SimulatorError
+from clickcz.gadgets import B2G_RULES
 from clickcz import states
 
 TOL = 1e-12
@@ -79,6 +83,17 @@ class TestPidChain:
         assert code == 0
         assert report.success_probability == pytest.approx(1.0, abs=TOL)
         assert report.extras["fidelity"] == pytest.approx(1.0, abs=TOL)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_one_row_per_branch(self, d):
+        report, _ = run(ExperimentConfig(experiment="pid-chain", depth=d))
+        ensemble = pid(states.phi_plus(d), d - 1, B2G_RULES, site="pid-chain")
+        expected = sorted(
+            ((b.record[-1].label, b.disposition, b.weight) for b in ensemble.branches),
+            key=lambda row: row[:2],
+        )
+        rows = [(o["label"], o["disposition"], o["probability"]) for o in report.outcomes]
+        assert rows == expected
 
     def test_depth_validation(self):
         with pytest.raises(ConfigError):
@@ -308,6 +323,49 @@ class TestMainEntry:
         assert main(["--experiment", "verify", "--out", "/dev/null"]) == 3
 
 
+class TestArgumentParsing:
+    """Each default lives on ``ExperimentConfig``; the parser only fills in flags."""
+
+    @staticmethod
+    def _config(monkeypatch, argv) -> ExperimentConfig:
+        seen = []
+
+        def fake_run(config):
+            seen.append(config)
+            return RunReport(experiment=config.experiment, mode=config.mode), 0
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        assert main(argv) == 0
+        return seen[0]
+
+    def test_defaults_come_from_the_config(self, monkeypatch, capsys):
+        config = self._config(monkeypatch, ["--experiment", "b2g"])
+        assert config == ExperimentConfig("b2g")
+
+    def test_each_flag_lands_in_its_field(self, monkeypatch, tmp_path):
+        out = str(tmp_path / "report.csv")
+        argv = ["--experiment", "cz", "--mode", "sample", "--samples", "7", "--seed", "3"]
+        argv += ["--input", "in.json", "--circuit", "c.json", "--out", out]
+        argv += ["--format", "csv", "--emit-states", "--depth", "5"]
+        expected = ExperimentConfig(
+            experiment="cz",
+            mode="sample",
+            samples=7,
+            seed=3,
+            input_path="in.json",
+            circuit_path="c.json",
+            out_path=out,
+            fmt="csv",
+            emit_states=True,
+            depth=5,
+        )
+        # every field but the experiment is set away from its default
+        defaults = ExperimentConfig("cz")
+        for f in dataclasses.fields(ExperimentConfig)[1:]:
+            assert getattr(expected, f.name) != getattr(defaults, f.name), f.name
+        assert self._config(monkeypatch, argv) == expected
+
+
 class TestInputBoundary:
     """Input outside the model fails at load time with exit code 2."""
 
@@ -385,6 +443,31 @@ class TestInputBoundary:
         assert code == 2
         assert "bad element descriptor" in err
         assert message in err
+
+    def test_deeply_nested_input(self, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text("[" * 200_000)
+        code = main(["--experiment", "cz", "--input", str(path), "--out", "/dev/null"])
+        assert code == 2
+        assert "malformed input state" in capsys.readouterr().err
+
+    def test_deeply_nested_circuit(self, tmp_path, capsys):
+        state_path = tmp_path / "in.json"
+        state_path.write_text(states.qubit(1, 0).to_json())
+        circuit_path = tmp_path / "circuit.json"
+        circuit_path.write_text("[" * 200_000)
+        argv = ["--experiment", "run-circuit", "--input", str(state_path)]
+        code = main(argv + ["--circuit", str(circuit_path), "--out", "/dev/null"])
+        assert code == 2
+        assert "malformed circuit JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples, exit_code", [(2**63, 2), (2**63 - 1, 0)])
+    def test_sample_count_fits_numpy(self, capsys, samples, exit_code):
+        argv = ["--experiment", "b2g", "--mode", "sample", "--seed", "1"]
+        code = main(argv + ["--samples", str(samples), "--out", "/dev/null"])
+        assert code == exit_code
+        if exit_code == 2:
+            assert "--samples must be at most 2**63 - 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment", ["cz", "pipeline"])
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import json
 import math
 from typing import Callable
 
+import numpy as np
 import pytest
 
 from clickcz.fock import (
@@ -294,6 +295,25 @@ class TestHygiene:
     def test_normalized(self):
         psi = PureState(1, {(H,): 2.0}).normalized()
         assert psi.norm2 == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("modes", ["2", 2.7, 2.0, True, None])
+    def test_mode_count_must_be_an_integer(self, modes):
+        with pytest.raises(TypeError, match="modes must be an integer"):
+            PureState(modes, {})
+
+    @pytest.mark.parametrize("cap", [7.9, "8", False])
+    def test_photon_cap_must_be_an_integer(self, cap):
+        with pytest.raises(TypeError, match="photon_cap must be an integer"):
+            PureState(1, {(H,): 1.0}, photon_cap=cap)
+
+    @pytest.mark.parametrize("modes, cap", [(-1, 8), (1, -1)])
+    def test_negative_counts_rejected(self, modes, cap):
+        with pytest.raises(ValueError, match="negative"):
+            PureState(modes, {}, photon_cap=cap)
+
+    def test_integer_like_counts_accepted(self):
+        psi = PureState(np.int64(1), {(H,): 1.0}, photon_cap=np.int8(3))
+        assert (type(psi.modes), psi.modes, type(psi.photon_cap)) == (int, 1, int)
 
     @pytest.mark.parametrize("amp", [math.nan, math.inf, complex(0.5, -math.inf)])
     def test_non_finite_amplitude_rejected(self, amp):
