@@ -18,7 +18,6 @@ from .fock import (
     PureState,
     SimulatorError,
     creation_apply,
-    trace_out,
 )
 from .elements import (
     ElementDescriptor,
@@ -43,6 +42,7 @@ from .detection import (
     measure_nr,
     pid,
     pid_split,
+    trace_out,
 )
 from .gadgets import (
     A2C_RULES,

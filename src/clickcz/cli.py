@@ -16,7 +16,7 @@ import json
 import json.encoder
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +27,16 @@ from .elements import ElementDescriptor, apply_circuit
 from .fock import NORM_TOL, PureState, SimulatorError
 from .gadgets import B2G_RULES
 
-EXPERIMENTS = (
-    "b2g",
-    "g2a",
-    "a2c",
-    "cz",
-    "pipeline",
-    "pid-chain",
-    "verify",
-    "run-circuit",
-)
+# The config fields each experiment reads besides --out and --format; the
+# gadget experiments read --samples and --seed with --mode sample only.
+_GADGET_FIELDS = ("mode", "input_path", "emit_states")
+_READS = {
+    **dict.fromkeys(("b2g", "g2a", "a2c", "cz", "pipeline"), _GADGET_FIELDS),
+    "pid-chain": ("depth",),
+    "verify": (),
+    "run-circuit": ("input_path", "circuit_path"),
+}
+EXPERIMENTS = tuple(_READS)
 
 
 # Enumerated probabilities are trusted to NORM_TOL (1e-12), not to the last bit.
@@ -64,8 +64,20 @@ class ExperimentConfig:
     depth: int = 4
 
     def validate(self) -> None:
+        """Reject bad values, and set fields that the experiment does not read."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        reads = {"experiment", "out_path", "fmt", *_READS[self.experiment]}
+        if "mode" in reads and self.mode == "sample":
+            reads |= {"samples", "seed"}
+        for f in fields(self):
+            if f.name in reads or getattr(self, f.name) == f.default:
+                continue
+            # the flag as typed: input_path is --input, emit_states --emit-states
+            flag = "--" + f.name.removesuffix("_path").replace("_", "-")
+            if "mode" in reads and f.name in ("samples", "seed"):
+                raise ConfigError(f"{flag} is read only with --mode sample")
+            raise ConfigError(f"--experiment {self.experiment} does not read {flag}")
         if self.mode not in ("enumerate", "sample"):
             raise ConfigError(f"mode must be 'enumerate' or 'sample', got {self.mode!r}")
         if self.mode == "sample":

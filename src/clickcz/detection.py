@@ -167,6 +167,22 @@ def measure_nr(
     return _branches(sectors, site, site_kind, rest, state.photon_cap)
 
 
+def trace_out(ensemble: Ensemble, mode: int) -> Ensemble:
+    """Discard one mode, splitting each branch per that mode's occupancy.
+
+    Each branch's mode is measured as by ``measure_nr``; weights are
+    multiplied by the marginal probability of each occupancy, and records
+    are unchanged.
+    """
+    return Ensemble(
+        tuple(
+            Branch(branch.weight * b.weight, b.state, branch.record)
+            for branch in ensemble.branches
+            for b in measure_nr(branch.state, (mode,), "trace", "raw").branches
+        )
+    )
+
+
 # The optics in front of a site's detectors: maps a state of the measured
 # modes alone to the state on the detector rails and the rails in reporting
 # order. Every output mode must be a detector rail.

@@ -453,31 +453,3 @@ class Ensemble:
         ]
         return Ensemble(tuple(out))
 
-
-def trace_out(ensemble: Ensemble, mode: int) -> Ensemble:
-    """Discard one mode, splitting each branch per that mode's occupancy.
-
-    Weights are multiplied by the marginal probability of each occupancy;
-    records are unchanged.
-    """
-    out: list[Branch] = []
-    for branch in ensemble.branches:
-        if not 0 <= mode < branch.state.modes:
-            raise ValueError(f"mode {mode} out of range")
-        groups: dict[tuple[int, int], dict[FockVector, complex]] = {}
-        for vec, amp in branch.state.items():
-            rest = vec[:mode] + vec[mode + 1 :]
-            groups.setdefault(vec[mode], {})[rest] = amp
-        for occ in sorted(groups):
-            sub = groups[occ]
-            prob = sum(abs(a) ** 2 for a in sub.values())
-            if prob <= 0.0:
-                continue
-            scale = 1.0 / math.sqrt(prob)
-            state = PureState(
-                branch.state.modes - 1,
-                {v: a * scale for v, a in sub.items()},
-                photon_cap=branch.state.photon_cap,
-            )
-            out.append(Branch(branch.weight * prob, state, branch.record))
-    return Ensemble(tuple(out))

@@ -71,11 +71,7 @@ def b2g(state: PureState, site: str = "b2g") -> GadgetResult:
     if state.modes != 4:
         raise ValueError("Bell-to-GHZ conversion expects a 4-mode input")
     _require_normalized(state, "Bell-to-GHZ input")
-    fused = apply_pbs(state, 1, 2)
-    # move the leftover PBS output behind the survivors before detection
-    rearranged = fused.reorder_modes((0, 1, 3, 2))
-    ensemble = pid(rearranged, 3, B2G_RULES, site=site)
-    return GadgetResult(ensemble)
+    return GadgetResult(pid(apply_pbs(state, 1, 2), 2, B2G_RULES, site=site))
 
 
 # -- error filter on the fragile register modes ---------------------------------
@@ -114,14 +110,14 @@ ECC_RULES = {
 }
 
 
-def ecc(state: PureState, mode_a: int, mode_b: int, site: str = "ecc") -> Ensemble:
+def ecc(state: PureState, mode_a: int, mode_b: int) -> Ensemble:
     """Error filter: two-click outcomes 3..6 are kept, everything else is not.
 
     A register pair damaged upstream can put at most one photon into the
     filter, so it can never produce two clicks; silence on all four rails
     is the unique double-damage signature.
     """
-    measured = _readout(state, (mode_a, mode_b), _ecc_site_optics, site, "fusion")
+    measured = _readout(state, (mode_a, mode_b), _ecc_site_optics, "ecc", "fusion")
     return apply_feed_forward(measured, ECC_RULES)
 
 
@@ -148,10 +144,11 @@ G2A_RULES = {
 def g2a(input_ensemble: Ensemble | PureState, site: str = "g2a") -> GadgetResult:
     """Convert two partial-GHZ registers (6 modes) into the gate ancilla.
 
-    The second mode of each register runs through the error filter; kept
-    outcomes are steered onto the four-qubit ancilla by outcome-conditioned
-    phases followed by a fixed conversion.  Every kept branch ends in the
-    same state including its global phase.
+    The second mode of each register runs through the error filter, read
+    out once and decided once by ``G2A_RULES``; kept outcomes are steered
+    onto the four-qubit ancilla by outcome-conditioned phases followed by a
+    fixed conversion.  Every kept branch ends in the same state including
+    its global phase.
     """
     if isinstance(input_ensemble, PureState):
         input_ensemble = Ensemble.pure(input_ensemble)
@@ -160,7 +157,8 @@ def g2a(input_ensemble: Ensemble | PureState, site: str = "g2a") -> GadgetResult
         if registers.modes != 6:
             raise ValueError("ancilla conversion expects 6-mode registers")
         _require_normalized(registers, "ancilla conversion input")
-        return apply_feed_forward(ecc(registers, 1, 4, site=f"{site}/ecc"), G2A_RULES)
+        filtered = _readout(registers, (1, 4), _ecc_site_optics, f"{site}/ecc", "fusion")
+        return apply_feed_forward(filtered, G2A_RULES)
 
     return GadgetResult(input_ensemble.then(convert))
 
@@ -185,14 +183,14 @@ def _a2c_readout(state: PureState, mode_x: int, mode_y: int, site: str) -> Ensem
     return _readout(state, (mode_x, mode_y), _a2c_optics, site, "fusion")
 
 
-def a2c(state: PureState, mode_x: int, mode_y: int, site: str = "a2c") -> Ensemble:
+def a2c(state: PureState, mode_x: int, mode_y: int) -> Ensemble:
     """Gate fusion: 50:50 splitter then PID readout of both outputs.
 
     Exactly two clicks herald success; a single click means the photons
     bunched and the attempt is discarded.
     """
     _require_normalized(state, "fusion input")
-    return apply_feed_forward(_a2c_readout(state, mode_x, mode_y, site), A2C_RULES)
+    return apply_feed_forward(_a2c_readout(state, mode_x, mode_y, "a2c"), A2C_RULES)
 
 
 # -- controlled-phase gate -------------------------------------------------------
@@ -253,12 +251,12 @@ def cz_gate(input_state: PureState, ancilla: PureState | None = None) -> GadgetR
     _require_normalized(input_state, "controlled-phase input")
     _require_normalized(ancilla, "ancilla")
 
-    # layout: (input qubit 1, ancilla 1..4, input qubit 2)
-    full = input_state.tensor(ancilla).reorder_modes((0, 2, 3, 4, 5, 1))
-    # The two fusions are one readout, so the second runs on every branch of
-    # the first; modes are then (ancilla 2, ancilla 3, ancilla 4, input qubit 2).
-    joint = _a2c_readout(full, 0, 1, "a2c1").then(
-        lambda rest: _a2c_readout(rest, 2, 3, "a2c2")
+    # Modes are fused where the tensor product puts them, (q1, q2, a1..a4):
+    # (q1, a1) first, leaving (q2, a2, a3, a4), then (a4, q2), leaving
+    # (a2, a3). The two fusions are one readout, so the second runs on every
+    # branch of the first.
+    joint = _a2c_readout(input_state.tensor(ancilla), 0, 2, "a2c1").then(
+        lambda rest: _a2c_readout(rest, 3, 0, "a2c2")
     )
     return GadgetResult(apply_feed_forward(joint, _CZ_PAIR_RULES))
 
@@ -294,6 +292,6 @@ def cz_full_pipeline(input_state: PureState) -> PipelineResult:
         )
     )
     registers = first.combine(second)
-    converted = g2a(registers, site="g2a").ensemble
+    converted = g2a(registers).ensemble
     gated = converted.then(lambda ancilla: cz_gate(input_state, ancilla=ancilla))
     return PipelineResult(gated, ancilla_probability=converted.keep_weight)

@@ -7,17 +7,14 @@ report. All tolerances are pinned here, not configurable.
 import math
 import random
 
-import pytest
-
 from clickcz.cli import ExperimentConfig, main, run
-from clickcz.detection import measure_nr, pid
+from clickcz.detection import pid
 from clickcz.elements import apply_element, bs, pbs, pdps, pr, ps
-from clickcz.fock import Ensemble, PureState
+from clickcz.fock import PureState
 from clickcz.gadgets import B2G_RULES, a2c, b2g, cz_full_pipeline, cz_gate, ecc, g2a
 from clickcz.oracle import (
     density_of,
     density_distance,
-    fidelity,
     partial_ghz_density,
     verify_table,
 )

@@ -244,7 +244,15 @@ class TestReportWriter:
     @pytest.mark.parametrize("mode", ["enumerate", "sample"])
     @pytest.mark.parametrize("emit_states", [False, True])
     def test_matches_stdlib(self, experiment, mode, emit_states, tmp_path):
-        report, _ = run(_config(experiment, mode, emit_states, tmp_path))
+        config = _config(experiment, mode, emit_states, tmp_path)
+        if experiment in ("pid-chain", "verify", "run-circuit") and (
+            mode == "sample" or emit_states
+        ):
+            # these experiments read neither flag, so the config is refused
+            with pytest.raises(ConfigError):
+                run(config)
+            return
+        report, _ = run(config)
         expected = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
         assert report.to_json() == expected
 
@@ -364,6 +372,26 @@ class TestArgumentParsing:
         for f in dataclasses.fields(ExperimentConfig)[1:]:
             assert getattr(expected, f.name) != getattr(defaults, f.name), f.name
         assert self._config(monkeypatch, argv) == expected
+
+
+class TestUnreadFlags:
+    """A flag the experiment does not read exits 2 and is named as typed."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("pid-chain --mode sample --samples 10 --seed 1 --emit-states", "--mode"),
+            ("verify --mode sample --samples 10 --seed 1", "--mode"),
+            ("cz --samples 10", "--samples"),
+            ("cz --depth 5", "--depth"),
+            ("b2g --circuit x.json", "--circuit"),
+            ("verify --emit-states", "--emit-states"),
+            ("pid-chain --input x.json", "--input"),
+        ],
+    )
+    def test_exit_code(self, capsys, argv, flag):
+        assert main(["--experiment", *argv.split(), "--out", "/dev/null"]) == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestInputBoundary:

@@ -14,8 +14,8 @@ from clickcz.fock import (
     PRUNE_EPS,
     PureState,
     creation_apply,
-    trace_out,
 )
+from clickcz.detection import trace_out
 from clickcz import states
 from clickcz.gadgets import b2g, g2a
 

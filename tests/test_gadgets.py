@@ -5,7 +5,7 @@ import random
 import pytest
 
 from clickcz import gadgets
-from clickcz.fock import Branch, ConsistencyError, Ensemble, PureState, SimulatorError
+from clickcz.fock import Branch, ConsistencyError, PureState, SimulatorError
 from clickcz.gadgets import (
     CZ_RULES,
     a2c,
@@ -319,6 +319,45 @@ class TestPipelineReuse:
             assert terms.keys() == dict(ref.state.items()).keys()
             for vec, amp in ref.state.items():
                 assert abs(terms[vec] - amp) <= TOL
+
+
+def _counting(monkeypatch, owner, name) -> list:
+    """Replace ``owner.name`` by a wrapper that logs each call; return the log."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestReadoutInPlace:
+    """Modes are measured where they are, and each branch is decided once."""
+
+    def test_b2g_and_cz_gate_do_not_reorder(self, monkeypatch):
+        calls = _counting(monkeypatch, PureState, "reorder_modes")
+        assert b2g(double_bell()).success_probability == pytest.approx(0.75, abs=TOL)
+        gate = cz_gate(states.two_qubit(1, 1j, -1, 0.5))
+        assert gate.success_probability == pytest.approx(0.25, abs=TOL)
+        assert calls == []
+
+    # pure GHZ pairs, or the four distinct kept states of two B2G runs
+    @pytest.mark.parametrize("source, distinct", [("ghz", 1), ("b2g", 4)])
+    def test_g2a_decides_each_branch_once(self, monkeypatch, source, distinct):
+        if source == "ghz":
+            registers = states.ghz_plus().tensor(states.ghz_plus())
+        else:
+            first = b2g(double_bell(), site="b2g1").ensemble
+            registers = first.combine(b2g(double_bell(), site="b2g2").ensemble)
+        readouts = _counting(monkeypatch, gadgets, "_readout")
+        decisions = _counting(monkeypatch, gadgets, "apply_feed_forward")
+        g2a(registers)
+        # one filter readout per distinct register state, one rule pass each
+        assert len(readouts) == len(decisions) == distinct
+        assert all(rules is gadgets.G2A_RULES for _, rules in decisions)
 
 
 class TestReadoutModes:

@@ -1,10 +1,9 @@
 import cmath
-import math
 
 import numpy as np
 import pytest
 
-from clickcz.fock import Branch, Ensemble, PureState
+from clickcz.fock import Ensemble, PureState
 from clickcz.gadgets import b2g
 from clickcz.oracle import (
     aggregate_probabilities,

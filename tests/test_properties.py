@@ -10,7 +10,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from clickcz import detection, gadgets, states
 from clickcz.cli import _dumps_indented
-from clickcz.detection import RuleAction, _readout, measure_nr, pid, pid_split
+from clickcz.detection import RuleAction, _readout, measure_nr, pid, pid_split, trace_out
 from clickcz.elements import (
     _two_rail_transform,
     apply_bs,
@@ -27,7 +27,6 @@ from clickcz.fock import (
     ConsistencyError,
     Ensemble,
     PureState,
-    trace_out,
 )
 
 TOL = 1e-12
