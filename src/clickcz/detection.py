@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
@@ -25,6 +25,7 @@ from .fock import (
     OutcomeEvent,
     PRUNE_EPS,
     PureState,
+    _agree,
     total_photons,
 )
 
@@ -118,71 +119,6 @@ def _reading(sector: FockVector, site_kind: str) -> tuple[ClickPattern, str]:
     return pattern, interpret_pattern(pattern, site_kind)
 
 
-def _branches(
-    sectors: dict[FockVector, dict[FockVector, complex]],
-    site: str,
-    site_kind: str,
-    modes: int,
-    photon_cap: int,
-) -> Ensemble:
-    """One branch per photon-number sector of the measured rails.
-
-    ``sectors`` maps each sector to the unnormalized state of the surviving
-    modes. Sectors come out in sorted order; terms below ``PRUNE_EPS`` are
-    dropped first, and sectors left empty are omitted.
-    """
-    branches: list[Branch] = []
-    for sector in sorted(sectors):
-        sub = sectors[sector]
-        if min(map(abs, sub.values())) < PRUNE_EPS:
-            sub = {v: a for v, a in sub.items() if abs(a) >= PRUNE_EPS}
-            if not sub:
-                continue
-        weight = sum([abs(a) ** 2 for a in sub.values()])
-        scale = 1.0 / math.sqrt(weight)
-        post = PureState._trusted(modes, {v: a * scale for v, a in sub.items()}, photon_cap)
-        pattern, label = _reading(sector, site_kind)
-        branches.append(Branch(weight, post, (OutcomeEvent(site, pattern, label),)))
-    return Ensemble(tuple(branches))
-
-
-def measure_nr(
-    state: PureState,
-    modes: Sequence[int],
-    site: str,
-    site_kind: str | None = None,
-) -> Ensemble:
-    """Measure the given modes with non-number-resolving detectors.
-
-    Branches are keyed by the exact photon content of the measured modes
-    (so e.g. one and two photons on the same rail become separate branches
-    sharing a click-pattern label).  Measured modes are removed from the
-    surviving states; weights are the Born probabilities; zero-probability
-    patterns are omitted.
-    """
-    modes = tuple(modes)
-    sectors, rest = _partition(state, modes)
-    if site_kind is None:
-        site_kind = {2: "pid", 4: "fusion"}.get(len(modes), "raw")
-    return _branches(sectors, site, site_kind, rest, state.photon_cap)
-
-
-def trace_out(ensemble: Ensemble, mode: int) -> Ensemble:
-    """Discard one mode, splitting each branch per that mode's occupancy.
-
-    Each branch's mode is measured as by ``measure_nr``; weights are
-    multiplied by the marginal probability of each occupancy, and records
-    are unchanged.
-    """
-    return Ensemble(
-        tuple(
-            Branch(branch.weight * b.weight, b.state, branch.record)
-            for branch in ensemble.branches
-            for b in measure_nr(branch.state, (mode,), "trace", "raw").branches
-        )
-    )
-
-
 # The optics in front of a site's detectors: maps a state of the measured
 # modes alone to the state on the detector rails and the rails in reporting
 # order. Every output mode must be a detector rail.
@@ -204,73 +140,183 @@ def _transfer(optics: Optics, occ: FockVector) -> tuple[tuple[FockVector, comple
     return tuple((sector_of(vec), amp) for vec, amp in out._amps.items())
 
 
-def _readout(
-    state: PureState,
-    modes: Sequence[int],
-    optics: Optics,
-    site: str,
-    site_kind: str,
-) -> Ensemble:
-    """Measure ``modes`` behind fixed optics in one pass over the terms.
-
-    Equivalent to running ``optics`` on the measured modes of the whole
-    state and then ``measure_nr`` on the detector rails, but the optics act
-    on each occupancy of the measured modes once, through ``_transfer``, and
-    the rest of every term is carried along unchanged.
-    """
-    groups, rest = _partition(state, tuple(modes))
-    sectors: dict[FockVector, dict[FockVector, complex]] = {}
-    for occ, terms in groups.items():
-        for sector, coeff in _transfer(optics, occ):
-            sub = sectors.get(sector)
-            if sub is None:
-                # adding to 0j turns a -0.0 part into 0.0, as the sums in the
-                # element kernels do, so reports print the same zeros
-                sectors[sector] = {v: 0j + a * coeff for v, a in terms.items()}
-                continue
-            for vec, amp in terms.items():
-                sub[vec] = sub.get(vec, 0j) + amp * coeff
-    return _branches(sectors, site, site_kind, rest, state.photon_cap)
-
-
 @dataclass(frozen=True)
 class RuleAction:
-    """Feed-forward response to one outcome label."""
+    """Feed-forward response to one outcome label: ``"keep"`` or ``"discard"``.
+
+    Kept branches get the ``elements`` through a table the action owns: the
+    image of each occupancy of modes 0 up to the highest target, filled on
+    first use by ``apply_circuit`` on that occupancy alone.
+    """
 
     elements: tuple[ElementDescriptor, ...] = ()
     disposition: str = "keep"
+    _span: int = field(init=False, repr=False, compare=False)
+    _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.disposition not in ("keep", "discard"):
+            raise ValueError(f"disposition must be keep or discard, got {self.disposition!r}")
+        elements = tuple(self.elements)
+        if not all(isinstance(e, ElementDescriptor) for e in elements):
+            raise TypeError(f"feed-forward elements must be ElementDescriptors, got {elements}")
+        object.__setattr__(self, "elements", elements)
+        top = max((t for e in elements for t in e.targets), default=-1)
+        object.__setattr__(self, "_span", top + 1)
+
+    def _correct(self, state: PureState) -> PureState:
+        """``apply_circuit(state, self.elements)``, read from the table."""
+        span, table = self._span, self._table
+        if span > state.modes:
+            return apply_circuit(state, self.elements)  # raises the kernels' ValueError
+        out: dict[FockVector, complex] = {}
+        for vec, amp in state._amps.items():
+            head, tail = vec[:span], vec[span:]
+            images = table.get(head)
+            if images is None:
+                # a power of two scales exactly and keeps the kernels' pruning off
+                one = PureState._trusted(span, {head: 2.0**50 + 0j}, total_photons(head))
+                images = apply_circuit(one, self.elements)._amps.items()
+                images = table[head] = tuple((v, c * 2.0**-50) for v, c in images)
+            for new_head, coeff in images:
+                new = new_head + tail
+                out[new] = out.get(new, 0j) + amp * coeff
+        return PureState._trusted(state.modes, out, state.photon_cap)
 
 
 # A feed-forward rule maps each reachable outcome label to its action.
 FeedForwardRule = Mapping[str, RuleAction]
 
 
-def apply_feed_forward(ensemble: Ensemble, rules: FeedForwardRule) -> Ensemble:
-    """Apply per-outcome corrective elements and dispositions to fresh branches.
+def _read(state: PureState, site: tuple) -> list[tuple[float, PureState, tuple]]:
+    """(weight, normalized surviving state, (site, pattern, label)) per sector.
 
-    A branch is looked up by its outcome labels joined without a separator:
-    one label for a single readout (``"Hn0"``), two for a joint one
-    (``"13"``). Stages apply their rules before ``Ensemble.then`` prefixes
-    the parent's record, so a record holds only the stage's own readout.
-    The action's disposition goes on every event of that readout. An
-    outcome with no rule is a hard error rather than a silent keep.
+    Sectors come out sorted; terms below ``PRUNE_EPS`` are dropped, and
+    sectors left empty omitted. The optics act on each occupancy once.
     """
-    out: list[Branch] = []
-    for branch in ensemble.branches:
-        key = "".join(e.label for e in branch.record)
+    modes, optics, name, site_kind = site
+    sectors, rest = _partition(state, tuple(modes))
+    if optics is not None:
+        groups, sectors = sectors, {}
+        for occ, terms in groups.items():
+            for sector, coeff in _transfer(optics, occ):
+                sub = sectors.get(sector)
+                if sub is None:
+                    # adding to 0j turns a -0.0 part into 0.0, as the sums in
+                    # the element kernels do, so reports print the same zeros
+                    sectors[sector] = {v: 0j + a * coeff for v, a in terms.items()}
+                    continue
+                for vec, amp in terms.items():
+                    sub[vec] = sub.get(vec, 0j) + amp * coeff
+    out = []
+    for sector in sorted(sectors):
+        sub = sectors[sector]
+        if min(map(abs, sub.values())) < PRUNE_EPS:
+            sub = {v: a for v, a in sub.items() if abs(a) >= PRUNE_EPS}
+            if not sub:
+                continue
+        weight = sum([abs(a) ** 2 for a in sub.values()])
+        scale = 1.0 / math.sqrt(weight)
+        post = PureState._trusted(rest, {v: a * scale for v, a in sub.items()}, state.photon_cap)
+        out.append((weight, post, (name, *_reading(sector, site_kind))))
+    return out
+
+
+def _decide(weight, state, readings, rules: FeedForwardRule | None, events: dict) -> Branch:
+    """Build one branch, decided by the rule of its labels joined (``"13"``).
+
+    An outcome with no rule is a hard error, not a silent keep. The action's
+    disposition goes on every event (``events`` reuses equal ones).
+    """
+    disposition = "keep"
+    if rules is not None:
+        key = "".join([r[2] for r in readings])
         action = rules.get(key)
         if action is None:
             raise FeedForwardError(f"no feed-forward rule for outcome {key!r}")
-        state = branch.state
-        if action.disposition == "keep" and action.elements:
-            state = apply_circuit(state, action.elements)
-        record = tuple(
-            e
-            if e.disposition == action.disposition
-            else OutcomeEvent(e.site, e.pattern, e.label, action.disposition)
-            for e in branch.record
+        disposition = action.disposition
+        if disposition == "keep" and action.elements:
+            state = action._correct(state)
+    record = []
+    for r in readings:
+        event = events.get((r, disposition))
+        if event is None:
+            event = events[r, disposition] = OutcomeEvent(*r, disposition)
+        record.append(event)
+    return Branch(weight, state, tuple(record))
+
+
+def _readout(
+    state: PureState, sites: Sequence[tuple], rules: FeedForwardRule | None = None
+) -> Ensemble:
+    """Read each site, a (modes, optics or None, name, kind) tuple, in turn.
+
+    Each site reads the survivors of the one before, once per distinct state,
+    with weights multiplied as ``Ensemble.then`` does: the sites chained by
+    ``then``, then ``apply_feed_forward``, but every branch built once.
+    """
+    level: list[tuple[float, PureState, tuple]] = [(1.0, state, ())]
+    for site in sites:
+        staged, deeper = [], []
+        for weight, parent, readings in level:
+            for seen, sub in staged:
+                if _agree(seen, parent):
+                    break
+            else:
+                sub = _read(parent, site)
+                staged.append((parent, sub))
+            deeper += [(weight * w, post, readings + (r,)) for w, post, r in sub]
+        level = deeper
+    events: dict = {}
+    return Ensemble(tuple([_decide(w, post, rs, rules, events) for w, post, rs in level]))
+
+
+def measure_nr(
+    state: PureState,
+    modes: Sequence[int],
+    site: str,
+    site_kind: str | None = None,
+) -> Ensemble:
+    """Measure the given modes with non-number-resolving detectors.
+
+    Branches are keyed by the exact photon content of the measured modes
+    (so e.g. one and two photons on the same rail become separate branches
+    sharing a click-pattern label).  Measured modes are removed from the
+    surviving states; weights are the Born probabilities; zero-probability
+    patterns are omitted.
+    """
+    if site_kind is None:
+        site_kind = {2: "pid", 4: "fusion"}.get(len(modes), "raw")
+    return _readout(state, ((modes, None, site, site_kind),))
+
+
+def trace_out(ensemble: Ensemble, mode: int) -> Ensemble:
+    """Discard one mode, splitting each branch per that mode's occupancy.
+
+    Each branch's mode is measured as by ``measure_nr``; weights are
+    multiplied by the marginal probability of each occupancy, and records
+    are unchanged.
+    """
+    return Ensemble(
+        tuple(
+            Branch(branch.weight * b.weight, b.state, branch.record)
+            for branch in ensemble.branches
+            for b in measure_nr(branch.state, (mode,), "trace", "raw").branches
         )
-        out.append(Branch(branch.weight, state, record))
+    )
+
+
+def apply_feed_forward(ensemble: Ensemble, rules: FeedForwardRule) -> Ensemble:
+    """Decide the branches of a ``measure_nr`` readout as ``_readout`` does.
+
+    Apply it before ``Ensemble.then`` prefixes the parent's record, since
+    the whole record is the rule's key.
+    """
+    events: dict = {}
+    out = []
+    for b in ensemble.branches:
+        readings = [(e.site, e.pattern, e.label) for e in b.record]
+        out.append(_decide(b.weight, b.state, readings, rules, events))
     return Ensemble(tuple(out))
 
 
@@ -307,5 +353,4 @@ def pid(
     measured rails disappear from the surviving states.  Corrective element
     targets refer to post-measurement mode indices.
     """
-    measured = _readout(state, (mode,), _pid_optics, site, "pid")
-    return apply_feed_forward(measured, rules)
+    return _readout(state, (((mode,), _pid_optics, site, "pid"),), rules)

@@ -44,6 +44,9 @@ class ElementDescriptor:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
+        object.__setattr__(self, "targets", tuple(_integer(t, "a target") for t in self.targets))
+        if min(self.targets, default=0) < 0:
+            raise ValueError(f"targets must be non-negative, got {self.targets}")
         if len(self.targets) != _ARITY[self.kind]:
             raise ValueError(
                 f"{self.kind} takes {_ARITY[self.kind]} target(s), got {self.targets}"

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import states
-from .detection import RuleAction, _readout, apply_feed_forward, pid, pid_split
+from .detection import RuleAction, _readout, pid, pid_split
 from .elements import apply_bs, apply_pbs, apply_pdps, apply_pr, pdps, pr, ps
 from .fock import Branch, Ensemble, PureState, SimulatorError
 
@@ -117,8 +117,7 @@ def ecc(state: PureState, mode_a: int, mode_b: int) -> Ensemble:
     filter, so it can never produce two clicks; silence on all four rails
     is the unique double-damage signature.
     """
-    measured = _readout(state, (mode_a, mode_b), _ecc_site_optics, "ecc", "fusion")
-    return apply_feed_forward(measured, ECC_RULES)
+    return _readout(state, (((mode_a, mode_b), _ecc_site_optics, "ecc", "fusion"),), ECC_RULES)
 
 
 # -- GHZ pair to the four-qubit gate ancilla ------------------------------------
@@ -157,8 +156,8 @@ def g2a(input_ensemble: Ensemble | PureState, site: str = "g2a") -> GadgetResult
         if registers.modes != 6:
             raise ValueError("ancilla conversion expects 6-mode registers")
         _require_normalized(registers, "ancilla conversion input")
-        filtered = _readout(registers, (1, 4), _ecc_site_optics, f"{site}/ecc", "fusion")
-        return apply_feed_forward(filtered, G2A_RULES)
+        error_filter = ((1, 4), _ecc_site_optics, f"{site}/ecc", "fusion")
+        return _readout(registers, (error_filter,), G2A_RULES)
 
     return GadgetResult(input_ensemble.then(convert))
 
@@ -179,10 +178,6 @@ def _a2c_optics(pair: PureState) -> tuple[PureState, tuple[int, int, int, int]]:
     return split, (0, 1, rail_vx, rail_vy)
 
 
-def _a2c_readout(state: PureState, mode_x: int, mode_y: int, site: str) -> Ensemble:
-    return _readout(state, (mode_x, mode_y), _a2c_optics, site, "fusion")
-
-
 def a2c(state: PureState, mode_x: int, mode_y: int) -> Ensemble:
     """Gate fusion: 50:50 splitter then PID readout of both outputs.
 
@@ -190,7 +185,7 @@ def a2c(state: PureState, mode_x: int, mode_y: int) -> Ensemble:
     bunched and the attempt is discarded.
     """
     _require_normalized(state, "fusion input")
-    return apply_feed_forward(_a2c_readout(state, mode_x, mode_y, "a2c"), A2C_RULES)
+    return _readout(state, (((mode_x, mode_y), _a2c_optics, "a2c", "fusion"),), A2C_RULES)
 
 
 # -- controlled-phase gate -------------------------------------------------------
@@ -253,12 +248,9 @@ def cz_gate(input_state: PureState, ancilla: PureState | None = None) -> GadgetR
 
     # Modes are fused where the tensor product puts them, (q1, q2, a1..a4):
     # (q1, a1) first, leaving (q2, a2, a3, a4), then (a4, q2), leaving
-    # (a2, a3). The two fusions are one readout, so the second runs on every
-    # branch of the first.
-    joint = _a2c_readout(input_state.tensor(ancilla), 0, 2, "a2c1").then(
-        lambda rest: _a2c_readout(rest, 3, 0, "a2c2")
-    )
-    return GadgetResult(apply_feed_forward(joint, _CZ_PAIR_RULES))
+    # (a2, a3). The two fusions are one readout, decided by outcome pair.
+    sites = (((0, 2), _a2c_optics, "a2c1", "fusion"), ((3, 0), _a2c_optics, "a2c2", "fusion"))
+    return GadgetResult(_readout(input_state.tensor(ancilla), sites, _CZ_PAIR_RULES))
 
 
 # -- the whole pipeline ----------------------------------------------------------

@@ -457,8 +457,10 @@ class TestInputBoundary:
             ({"kind": "PR", "targets": [1], "theta": float("nan")}, "theta must be finite"),
             ({"kind": "PR", "targets": [1.5], "theta": 0.3}, "target must be an integer"),
             ({"kind": "PR", "targets": [1], "theta": float("inf")}, "theta must be finite"),
+            ({"kind": "PR", "targets": [0], "theta": 0.3}, "targets must be non-negative"),
+            ({"kind": "PR", "targets": [True], "theta": 0.3}, "target must be an integer"),
         ],
-        ids=["nan-theta", "float-target", "infinite-theta"],
+        ids=["nan-theta", "float-target", "infinite-theta", "zero-target", "bool-target"],
     )
     def test_bad_element(self, tmp_path, capsys, element, message):
         state_path = tmp_path / "in.json"

@@ -1,8 +1,10 @@
 import math
+import re
 
 import pytest
 
-from clickcz import detection, gadgets
+import clickcz
+from clickcz import detection, elements, gadgets
 from clickcz.detection import (
     RuleAction,
     _readout,
@@ -13,12 +15,18 @@ from clickcz.detection import (
     pid,
     pid_split,
 )
-from clickcz.elements import apply_pr, pdps
-from clickcz.fock import DEFAULT_PHOTON_CAP, ConsistencyError, FeedForwardError, PureState
+from clickcz.elements import apply_circuit, apply_pr, bs, pdps, pr, ps
+from clickcz.fock import (
+    DEFAULT_PHOTON_CAP,
+    PRUNE_EPS,
+    ConsistencyError,
+    FeedForwardError,
+    PureState,
+)
 from clickcz.gadgets import B2G_RULES
 from clickcz import states
 
-from conftest import random_state
+from conftest import assert_states_equal, random_state
 
 H = (1, 0)
 V = (0, 1)
@@ -202,7 +210,7 @@ class TestTransferTable:
             psi = apply_pr(random_state(rng, 3), 0, rng.uniform(-math.pi, math.pi))
             for optics, k in SITE_OPTICS:
                 modes = tuple(rng.sample(range(3), k))
-                _readout(psi, modes, optics, "t", "raw")
+                _readout(psi, ((modes, optics, "t", "raw"),))
                 seen |= {(optics, tuple(vec[m] for m in modes)) for vec in psi._amps}
         # at most one entry per optics and occupancy of its measured modes
         cap = DEFAULT_PHOTON_CAP
@@ -248,3 +256,126 @@ class TestFeedForward:
         rules = {"0": RuleAction(elements=(pdps(0, math.pi),), disposition="discard")}
         out = apply_feed_forward(ens, rules)
         assert out.branches[0].disposition == "discard"
+
+
+class TestRuleAction:
+    def test_disposition_must_be_keep_or_discard(self):
+        # a misspelt disposition used to count as kept and skip its elements
+        with pytest.raises(ValueError, match="keep or discard"):
+            RuleAction(elements=(pdps(0, math.pi),), disposition="Keep")
+
+    def test_elements_stored_as_a_tuple(self):
+        action = RuleAction(elements=[pdps(0, math.pi)])
+        assert action.elements == (pdps(0, math.pi),)
+        assert hash(action) == hash(RuleAction(elements=(pdps(0, math.pi),)))
+
+    @pytest.mark.parametrize("elements", [("PDPS",), [None], 3], ids=["str", "none", "int"])
+    def test_elements_must_be_descriptors(self, elements):
+        with pytest.raises(TypeError):
+            RuleAction(elements=elements)
+
+    def test_table_is_not_compared_hashed_or_shown(self):
+        used, fresh = RuleAction((pr(0, 0.3),)), RuleAction((pr(0, 0.3),))
+        used._correct(states.qubit(1, 1j))
+        assert used._table and not fresh._table
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert "_table" not in repr(used)
+
+    def test_out_of_range_target_raises_as_the_kernels_do(self):
+        psi = states.two_qubit(1, 1j, -1, 0.5)
+        elements = (pr(1, 0.3), pdps(3, 1.0))
+        with pytest.raises(ValueError) as expected:
+            apply_circuit(psi, elements)
+        ens = measure_nr(psi.tensor(PureState.vacuum(1)), (2,), site="d", site_kind="raw")
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            apply_feed_forward(ens, {"0": RuleAction(elements)})
+
+
+def _corrections():
+    """Every action with elements in the gadgets' rule tables, with an id."""
+    tables = {"b2g": gadgets.B2G_RULES, "g2a": gadgets.G2A_RULES, "cz": gadgets.CZ_RULES}
+    return [
+        pytest.param(action, id=f"{name}-{label}")
+        for name, rules in tables.items()
+        for label, action in rules.items()
+        if action.elements
+    ]
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestCorrectionTable:
+    """Feed-forward corrections read each rule's own transfer table."""
+
+    @pytest.mark.parametrize("action", _corrections())
+    def test_table_agrees_with_apply_circuit(self, action, rng):
+        span = action._span
+        for _ in range(20):
+            psi = random_state(rng, span + 1)
+            assert_states_equal(
+                action._correct(psi), apply_circuit(psi, action.elements), tol=1e-15
+            )
+        # each entry is the image of |occ⟩ on the modes up to the highest
+        # target, a spectator mode after them left as it is, and keeps the
+        # coefficients below PRUNE_EPS that apply_circuit drops
+        for occ, images in action._table.items():
+            out = apply_circuit(PureState(span + 1, {occ + (V,): 1.0}), action.elements)
+            kept = {vec: c for vec, c in images if abs(c) >= PRUNE_EPS}
+            assert kept == {v[:span]: amp for v, amp in out._amps.items()}
+            assert all(v[span:] == (V,) for v in out._amps)
+
+    def test_coefficients_below_the_prune_threshold_are_kept(self):
+        # sin² of the angle, 3.6e-15, adds to a term of 5e-8: the kernels keep
+        # it, so a table that pruned its coefficients would differ by 2.8e-15
+        action = RuleAction((pr(0, 2.0**-24),))
+        psi = PureState(1, {((1, 1),): 0.6, ((2, 0),): 0.8})
+        assert action._correct(psi)._amps == apply_circuit(psi, action.elements)._amps
+
+    def test_fresh_angles_grow_no_module_cache(self, rng):
+        caches = [
+            f
+            for module in (detection, elements)
+            for f in vars(module).values()
+            if hasattr(f, "cache_info")
+        ]
+        assert caches
+        psi = random_state(rng, 3)
+
+        def decide_with_fresh_angles():
+            a, b, c = (rng.uniform(-math.pi, math.pi) for _ in range(3))
+            action = RuleAction((pr(0, a), ps(1, b), pdps(0, c), bs(0, 1)))
+            pid(psi, 2, {label: action for label in ("Hn0", "0Vn", "00", "HnVn")})
+
+        decide_with_fresh_angles()
+        sizes = [f.cache_info().currsize for f in caches]
+        for _ in range(100):
+            decide_with_fresh_angles()
+        assert [f.cache_info().currsize for f in caches] == sizes
+
+    def test_warm_cz_gate_runs_no_element_kernel(self, monkeypatch):
+        gadgets.cz_gate(states.two_qubit(1, 1j, -1, 0.5))
+        kernels = [
+            _count_calls(monkeypatch, elements, "_two_rail_transform"),
+            _count_calls(monkeypatch, elements, "_phase_map"),
+        ]
+        # every binding of the name, so a re-import cannot hide a call
+        feed_forward = [
+            _count_calls(monkeypatch, module, "apply_feed_forward")
+            for module in (clickcz, detection, gadgets)
+            if hasattr(module, "apply_feed_forward")
+        ]
+        result = gadgets.cz_gate(states.two_qubit(0.5, -1, 1j, 1))
+        assert result.success_probability == pytest.approx(0.25, abs=1e-12)
+        assert [len(calls) for calls in kernels] == [0, 0]
+        assert sum(len(calls) for calls in feed_forward) == 0

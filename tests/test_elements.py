@@ -170,6 +170,23 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             ElementDescriptor("XYZ", (0,))
 
+    @pytest.mark.parametrize("target", [1.5, 0.0, True, "0", None])
+    def test_non_integer_target_rejected(self, target):
+        # a float used to fail deep in a kernel, and True passed as mode 1
+        with pytest.raises(TypeError, match="target must be an integer"):
+            pr(target, 0.3)
+
+    def test_negative_target_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            pdps(-1, 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            ElementDescriptor("BS", (0, -2))
+
+    def test_targets_stored_as_a_tuple(self):
+        desc = ElementDescriptor("PBS", [0, 1])
+        assert desc.targets == (0, 1)
+        assert hash(desc) == hash(pbs(0, 1))
+
     def test_json_roundtrip(self):
         desc = pr(3, math.pi / 2)
         again = ElementDescriptor.from_json_dict(desc.to_json_dict())

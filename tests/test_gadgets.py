@@ -353,11 +353,11 @@ class TestReadoutInPlace:
             first = b2g(double_bell(), site="b2g1").ensemble
             registers = first.combine(b2g(double_bell(), site="b2g2").ensemble)
         readouts = _counting(monkeypatch, gadgets, "_readout")
-        decisions = _counting(monkeypatch, gadgets, "apply_feed_forward")
         g2a(registers)
-        # one filter readout per distinct register state, one rule pass each
-        assert len(readouts) == len(decisions) == distinct
-        assert all(rules is gadgets.G2A_RULES for _, rules in decisions)
+        # one filter readout per distinct register state, deciding its
+        # branches by G2A_RULES as it builds them
+        assert len(readouts) == distinct
+        assert all(rules is gadgets.G2A_RULES for _, _, rules in readouts)
 
 
 class TestReadoutModes:

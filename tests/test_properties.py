@@ -3,6 +3,8 @@
 import cmath
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from clickcz.detection import RuleAction, _readout, measure_nr, pid, pid_split, 
 from clickcz.elements import (
     _two_rail_transform,
     apply_bs,
+    apply_circuit,
     apply_element,
     bs,
     pbs,
@@ -24,8 +27,10 @@ from clickcz.elements import (
 from clickcz.fock import (
     DEFAULT_PHOTON_CAP,
     PRUNE_EPS,
+    Branch,
     ConsistencyError,
     Ensemble,
+    FeedForwardError,
     PureState,
 )
 
@@ -321,9 +326,9 @@ def test_readout_matches_optics_then_measurement(name, data, psi):
     except ConsistencyError:  # three or more clicks at a fusion site
         event("inconsistent")
         with pytest.raises(ConsistencyError):
-            _readout(psi, modes, optics, "s", kind)
+            _readout(psi, ((modes, optics, "s", kind),))
         return
-    got = _readout(psi, modes, optics, "s", kind).branches
+    got = _readout(psi, ((modes, optics, "s", kind),)).branches
     # same sectors in the same order: records, supports and amplitudes agree
     assert [b.record for b in got] == [b.record for b in expected]
     for mine, ref in zip(got, expected):
@@ -332,6 +337,97 @@ def test_readout_matches_optics_then_measurement(name, data, psi):
         assert mine.state._amps.keys() == ref.state._amps.keys()
         for vec, amp in ref.state._amps.items():
             assert abs(mine.state._amps[vec] - amp) <= TOL
+
+
+# -- deciding readout ---------------------------------------------------------------
+
+
+@st.composite
+def rule_actions(draw, modes):
+    """A keep or discard action with up to three elements on ``modes`` modes.
+
+    Angles lie on a grid of π/2**20, so no amplitude lands within rounding
+    of ``PRUNE_EPS``: the reference prunes after every element and the
+    table once, so a term at the threshold could be kept by one and not
+    the other. Tiny angles are pinned in ``test_detection.py``.
+    """
+    elements = []
+    for _ in range(draw(st.integers(0, 3)) if modes else 0):
+        kind = draw(st.sampled_from(["PR", "PS", "PDPS", "BS", "PBS"][: 5 if modes > 1 else 3]))
+        angle = draw(st.integers(-(2**20), 2**20)) * math.pi / 2**20
+        if kind in ("BS", "PBS"):
+            pair = draw(st.permutations(range(modes)))[:2]
+            elements.append(bs(*pair) if kind == "BS" else pbs(*pair))
+        else:
+            make = {"PR": pr, "PS": ps, "PDPS": pdps}[kind]
+            elements.append(make(draw(st.integers(0, modes - 1)), angle))
+    return RuleAction(tuple(elements), draw(st.sampled_from(["keep", "discard"])))
+
+
+def _chained(psi, sites):
+    """Each site read by its own ``_readout``, chained with ``Ensemble.then``."""
+    ensemble = _readout(psi, sites[:1])
+    for site in sites[1:]:
+        ensemble = ensemble.then(lambda state, site=site: _readout(state, (site,)))
+    return ensemble
+
+
+def _decided(ensemble, rules):
+    """Each branch looked up by its joined labels and corrected element by element."""
+    out = []
+    for b in ensemble.branches:
+        key = "".join(e.label for e in b.record)
+        if key not in rules:
+            raise FeedForwardError(f"no feed-forward rule for outcome {key!r}")
+        action = rules[key]
+        state = b.state
+        if action.disposition == "keep" and action.elements:
+            state = apply_circuit(state, action.elements)
+        record = tuple(replace(e, disposition=action.disposition) for e in b.record)
+        out.append(Branch(b.weight, state, record))
+    return out
+
+
+@pytest.mark.parametrize("first", sorted(READOUT_SITES))
+@given(data=st.data(), psi=readout_states())
+@settings(max_examples=100, deadline=None)
+def test_deciding_readout_matches_composition(first, data, psi):
+    second = data.draw(st.sampled_from(sorted(READOUT_SITES)))
+    names = [first, second][: data.draw(st.integers(1, 2))]
+    sites, left = [], psi.modes
+    for i, name in enumerate(names):
+        optics, site_kind, k, _reference = READOUT_SITES[name]
+        if k > left:
+            break
+        modes = tuple(data.draw(st.permutations(range(left)))[:k])
+        sites.append((modes, optics, f"s{i}", data.draw(st.sampled_from([site_kind, "raw"]))))
+        left -= k
+    event(f"{len(sites)} sites")
+    try:
+        chained = _chained(psi, sites)
+    except ConsistencyError:  # three or more clicks at a fusion site
+        with pytest.raises(ConsistencyError):
+            _readout(psi, sites, {})
+        return
+    keys = sorted({"".join(e.label for e in b.record) for b in chained.branches})
+    rules = {key: data.draw(rule_actions(left)) for key in keys}
+    if data.draw(st.integers(0, 9)) == 0:  # an outcome without a rule
+        del rules[data.draw(st.sampled_from(keys))]
+    try:
+        expected = _decided(chained, rules)
+    except FeedForwardError as exc:
+        with pytest.raises(FeedForwardError, match=re.escape(str(exc))):
+            _readout(psi, sites, rules)
+        return
+    got = _readout(psi, sites, rules).branches
+    # same order, records and weights bit for bit; corrections to 1e-15
+    assert [b.record for b in got] == [b.record for b in expected]
+    assert [b.weight for b in got] == [b.weight for b in expected]
+    for mine, ref in zip(got, expected):
+        assert mine.state.modes == ref.state.modes
+        assert mine.state._amps.keys() == ref.state._amps.keys()
+        for vec, amp in ref.state._amps.items():
+            assert abs(mine.state._amps[vec] - amp) <= 1e-15
 
 
 # -- report writer -----------------------------------------------------------------

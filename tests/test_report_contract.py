@@ -7,6 +7,10 @@ the result written as compact JSON with sorted keys. A changed label, row,
 order, state or extra changes the digest. Sampled reports are left out,
 since numpy does not promise the same Generator stream across versions.
 
+``F`` in a flag list stands for a fixed complex entangled input,
+``states.two_qubit(1, 1j, -1, 0.5)``: on the real default input a wrong
+correction phase barely shows.
+
 After a deliberate change to a report, recompute a digest with
 ``_digest`` on the new output and say why in the change log.
 """
@@ -16,6 +20,7 @@ import json
 
 import pytest
 
+from clickcz import states
 from clickcz.cli import main
 
 DIGESTS = {
@@ -31,6 +36,8 @@ DIGESTS = {
     "--experiment pipeline --emit-states": "a1fa0d0b2c22020fb49983b0e33bba4f9aba3c1d725435741ad4cb91a6c0fc51",
     "--experiment pid-chain --depth 4": "953aa3abf6b5adf73e0e302b43b2d99a473dcb4910f9f6cadab5c2027779fd69",
     "--experiment pid-chain --depth 8": "da0418475236c9495faf5c73faf05021533418a52ed9429d0da6aece19bd44bf",
+    "--experiment cz --input F --emit-states": "ad682ef993792f96117901d4d0995196f5318173a0fc98862e443d4338516917",
+    "--experiment pipeline --input F --emit-states": "9d1473eb2af4ce0ccac93265787d7f11f3081bd67f47f562ec537fd0977c5557",
     "--experiment verify": "0f1cc96d4024b34c94e67a6635bb72428daebd9fab9eb6a3236048c9dbf781fd",
 }
 
@@ -52,6 +59,8 @@ def _digest(text: str) -> str:
 
 @pytest.mark.parametrize("flags", list(DIGESTS))
 def test_report_digest(flags, tmp_path):
-    out = tmp_path / "report.json"
-    assert main(flags.split() + ["--out", str(out)]) == 0
+    out, state = tmp_path / "report.json", tmp_path / "input.json"
+    state.write_text(states.two_qubit(1, 1j, -1, 0.5).to_json())
+    argv = [str(state) if arg == "F" else arg for arg in flags.split()]
+    assert main(argv + ["--out", str(out)]) == 0
     assert _digest(out.read_text()) == DIGESTS[flags]
