@@ -114,52 +114,69 @@ _JSON_SCALARS = {
 def _dumps_indented(obj: object) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` for the types a report holds.
 
-    Those are dicts with ``str`` keys, lists, tuples, ``str``, ``int``,
-    ``float`` (subclasses such as ``np.float64`` included), booleans and
-    ``None``; anything else raises ``TypeError``. A container met again at the
-    same depth is rendered once: rendered text is memoized on ``(id, depth)``.
-    That is sound because ``obj`` keeps the whole tree alive for the call, so
-    no id is reused within it. There is no cycle check; a report is a tree.
+    Those are dicts with ``str`` keys, lists, tuples (named tuples included),
+    ``str``, ``int``, ``float`` (subclasses such as ``np.float64`` included),
+    booleans and ``None``; anything else raises ``TypeError``. Fragments go to
+    one list, joined once. A container met again at the same depth replays the
+    fragments it wrote the first time; keying that on ``(id, depth)`` is sound
+    because ``obj`` keeps the whole tree alive for the call, so no id is
+    reused within it. There is no cycle check; a report is a tree.
     """
-    memo: dict[tuple[int, int], str] = {}
+    scalar = _JSON_SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    out: list[str] = []
+    _write_json(obj, 0, out, {})
+    return "".join(out)
 
-    def render(o: object, depth: int) -> str:
-        scalar = _JSON_SCALARS.get(type(o))
-        if scalar is not None:
-            return scalar(o)
-        key = (id(o), depth)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = render_other(o, depth)
-        return text
 
-    def render_other(o: object, depth: int) -> str:
-        inner = "\n" + "  " * (depth + 1)
-        outer = "\n" + "  " * depth
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            # encode_basestring_ascii raises TypeError on a key that is not a str
-            encode_key = json.encoder.encode_basestring_ascii
-            body = ",".join(
-                f"{inner}{encode_key(k)}: {render(o[k], depth + 1)}" for k in sorted(o)
-            )
-            return "{" + body + outer + "}"
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            return "[" + ",".join(inner + render(v, depth + 1) for v in o) + outer + "]"
+def _write_json(
+    o: object, depth: int, out: list[str], spans: dict[tuple[int, int], tuple[int, int]]
+) -> None:
+    """Append the fragments of ``o``, which is not of an exact scalar type."""
+    if not isinstance(o, (dict, list, tuple)):
         for base in (str, int, float):
             if isinstance(o, base):
-                return _JSON_SCALARS[base](o)
+                out.append(_JSON_SCALARS[base](o))
+                return
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    # render and render_other refer to each other, a cycle that only the
-    # garbage collector frees; emptying the memo frees the rendered text now
-    try:
-        return render(obj, 0)
-    finally:
-        memo.clear()
+    span = spans.get((id(o), depth))
+    if span is not None:
+        out.extend(out[span[0] : span[1]])
+        return
+    start = len(out)
+    if not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    else:
+        pad = "\n" + "  " * depth
+        sep = pad + "  "
+        rest = "," + sep
+        if isinstance(o, dict):
+            out.append("{")
+            # encode_basestring_ascii raises TypeError on a key that is not a str
+            encode_key = json.encoder.encode_basestring_ascii
+            for k in sorted(o):
+                v = o[k]
+                scalar = _JSON_SCALARS.get(type(v))
+                if scalar is not None:
+                    out.append(f"{sep}{encode_key(k)}: {scalar(v)}")
+                else:
+                    out.append(f"{sep}{encode_key(k)}: ")
+                    _write_json(v, depth + 1, out, spans)
+                sep = rest
+            out.append(pad + "}")
+        else:
+            out.append("[")
+            for v in o:
+                scalar = _JSON_SCALARS.get(type(v))
+                if scalar is not None:
+                    out.append(sep + scalar(v))
+                else:
+                    out.append(sep)
+                    _write_json(v, depth + 1, out, spans)
+                sep = rest
+            out.append(pad + "]")
+    spans[id(o), depth] = (start, len(out))
 
 
 @dataclass

@@ -72,10 +72,13 @@ class ElementDescriptor:
 
     @staticmethod
     def from_json_dict(data: Mapping, *, one_based: bool = False) -> "ElementDescriptor":
+        targets = tuple(_integer(t, "a target") for t in data["targets"])
+        if one_based and min(targets, default=1) < 1:
+            raise ValueError(f"targets are 1-based, got {targets}")
         shift = 1 if one_based else 0
         return ElementDescriptor(
             kind=str(data["kind"]),
-            targets=tuple(_integer(t, "a target") - shift for t in data["targets"]),
+            targets=tuple(t - shift for t in targets),
             theta=_json_number(data["theta"], "theta") if "theta" in data else None,
             phi=_json_number(data["phi"], "phi") if "phi" in data else None,
         )

@@ -19,7 +19,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 DEFAULT_PHOTON_CAP = 8
 PRUNE_EPS = 1e-14
@@ -366,11 +366,12 @@ class OutcomeEvent:
         }
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """A weighted pure state tagged with its classical outcome record.
 
-    ``disposition`` and ``label`` derive from the record on each read.
+    A named tuple, so it is cheap to build and immutable, and equality is
+    tuple equality. ``disposition`` and ``label`` derive from the record on
+    each read.
     """
 
     weight: float
@@ -438,10 +439,8 @@ class Ensemble:
                 result = stage(parent.state)
                 sub = getattr(result, "ensemble", result)
                 staged.append((parent.state, sub))
-            for b in sub.branches:
-                out.append(
-                    Branch(parent.weight * b.weight, b.state, parent.record + b.record)
-                )
+            weight, record = parent.weight, parent.record
+            out += [Branch(weight * b.weight, b.state, record + b.record) for b in sub.branches]
         return Ensemble(tuple(out))
 
     def combine(self, other: "Ensemble") -> "Ensemble":

@@ -6,7 +6,7 @@ tables and stated probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,8 +110,9 @@ def density_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 # -- exhaustive outcome enumeration ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class OutcomeRow:
+class OutcomeRow(NamedTuple):
+    """One branch as a report reads it; a named tuple, so equality is tuple equality."""
+
     label: str
     disposition: str
     probability: float

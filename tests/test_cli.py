@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -237,6 +239,11 @@ def _config(experiment: str, mode: str, emit_states: bool, tmp_path) -> Experime
     return ExperimentConfig(experiment, mode=mode, emit_states=emit_states, **extra)
 
 
+class _Pair(NamedTuple):
+    x: int
+    y: list
+
+
 class TestReportWriter:
     """``to_json`` is the stdlib's ``sort_keys=True, indent=2`` rendering."""
 
@@ -292,6 +299,49 @@ class TestReportWriter:
             return [(r.label, r.disposition, r.probability, id(r.state)) for r in rs]
 
         assert fingerprint(rows) == fingerprint(reference)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"row": _Pair(1, [2.5, "b"])},
+            _Pair(0, []),
+            "é\n",
+            3,
+            2.5,
+            np.float64(0.1),
+            True,
+            None,
+            math.nan,
+            {},
+            [],
+            {"a": [{"b": {}}, {"c": []}]},
+        ],
+        ids=[
+            "named-tuple-value",
+            "named-tuple-top",
+            "str-top",
+            "int-top",
+            "float-top",
+            "np-float-top",
+            "bool-top",
+            "none-top",
+            "nan-top",
+            "empty-dict-top",
+            "empty-list-top",
+            "empty-at-depth-3",
+        ],
+    )
+    def test_value_matches_stdlib(self, value):
+        assert cli._dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    # the stdlib writes an int key as a string; a report has only str keys, so
+    # the writer refuses one
+    @pytest.mark.parametrize(
+        "value", [{1: "a"}, [1j], {"s": {1, 2}}], ids=["int-key", "complex", "set"]
+    )
+    def test_unsupported_value_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._dumps_indented(value)
 
 
 class TestMainEntry:
@@ -457,10 +507,18 @@ class TestInputBoundary:
             ({"kind": "PR", "targets": [1], "theta": float("nan")}, "theta must be finite"),
             ({"kind": "PR", "targets": [1.5], "theta": 0.3}, "target must be an integer"),
             ({"kind": "PR", "targets": [1], "theta": float("inf")}, "theta must be finite"),
-            ({"kind": "PR", "targets": [0], "theta": 0.3}, "targets must be non-negative"),
+            ({"kind": "PR", "targets": [0], "theta": 0.3}, "targets are 1-based, got (0,)"),
+            ({"kind": "BS", "targets": [2, -3]}, "targets are 1-based, got (2, -3)"),
             ({"kind": "PR", "targets": [True], "theta": 0.3}, "target must be an integer"),
         ],
-        ids=["nan-theta", "float-target", "infinite-theta", "zero-target", "bool-target"],
+        ids=[
+            "nan-theta",
+            "float-target",
+            "infinite-theta",
+            "zero-target",
+            "negative-target",
+            "bool-target",
+        ],
     )
     def test_bad_element(self, tmp_path, capsys, element, message):
         state_path = tmp_path / "in.json"

@@ -269,6 +269,27 @@ class TestThen:
         Ensemble((dropped, kept, dropped)).then(self._counted(calls))
         assert calls == [kept.state]
 
+    def test_weights_equal_a_reference_loop(self):
+        # the stage's weights do not depend on its input, so the reference
+        # holds whichever parent's result ``then`` reuses
+        def stage(state: PureState) -> Ensemble:
+            weights = (0.1, 0.3, 0.6)
+            return Ensemble(tuple(Branch(w, state, (_event(str(w)),)) for w in weights))
+
+        pair = states.bell_phi_plus().tensor(states.bell_phi_plus())
+        registers = b2g(pair, site="b2g1").ensemble.combine(
+            b2g(pair, site="b2g2").ensemble
+        )
+        expected = []
+        for parent in registers.branches:
+            if parent.disposition == "discard":
+                expected.append(parent.weight)
+                continue
+            expected += [parent.weight * b.weight for b in stage(parent.state).branches]
+        got = [b.weight for b in registers.then(stage).branches]
+        assert len(got) == len(expected) > len(registers.branches)
+        assert got == expected
+
     def test_weight_conserved_through_g2a(self):
         pair = states.bell_phi_plus().tensor(states.bell_phi_plus())
         registers = b2g(pair, site="b2g1").ensemble.combine(
@@ -277,6 +298,36 @@ class TestThen:
         out = registers.then(g2a)
         assert out.total_weight == pytest.approx(1.0, abs=1e-12)
         assert out.keep_weight == pytest.approx(0.125, abs=1e-12)
+
+
+class TestBranchRecord:
+    """``Branch`` is a named tuple: fixed fields, a default record, no assignment."""
+
+    def test_fields_and_default(self):
+        assert Branch._fields == ("weight", "state", "record")
+        assert Branch._field_defaults == {"record": ()}
+        assert Branch(0.5, states.ghz_plus()).record == ()
+
+    def test_assignment_raises(self):
+        branch = Branch(0.5, states.ghz_plus())
+        with pytest.raises(AttributeError):
+            branch.weight = 1.0
+        with pytest.raises(AttributeError):
+            branch.extra = 1
+
+    def test_label_and_disposition_on_a_recorded_branch(self):
+        psi = states.ghz_plus()
+        events = (_event("H"), _event("3", "discard"), _event("V"))
+        assert Branch(0.5, psi, events).label == "H+3+V"
+        assert Branch(0.5, psi, events).disposition == "discard"
+        assert Branch(0.5, psi, events[:1]).disposition == "keep"
+        assert Branch(0.5, psi).label == ""
+        assert Branch(0.5, psi).disposition == "keep"
+
+    def test_equality_is_tuple_equality(self):
+        psi = states.ghz_plus()
+        assert Branch(0.5, psi) == (0.5, psi, ())
+        assert Branch(0.5, psi) != Branch(0.25, psi)
 
 
 class TestHygiene:

@@ -6,6 +6,7 @@ import pytest
 from clickcz.fock import Ensemble, PureState
 from clickcz.gadgets import b2g
 from clickcz.oracle import (
+    OutcomeRow,
     aggregate_probabilities,
     density_of,
     density_distance,
@@ -13,6 +14,7 @@ from clickcz.oracle import (
     fidelity,
     match_up_to_phase,
     mixture_density,
+    outcome_rows,
     partial_ghz_density,
     verify_all_tables,
     verify_table,
@@ -108,6 +110,29 @@ class TestEnumeration:
         assert agg[("Hn0", "keep")] == pytest.approx(0.375, abs=TOL)
         assert agg[("0Vn", "keep")] == pytest.approx(0.375, abs=TOL)
         assert agg[("00", "discard")] == pytest.approx(0.25, abs=TOL)
+
+
+class TestOutcomeRow:
+    """``OutcomeRow`` is a named tuple: fixed fields, no defaults, no assignment."""
+
+    def test_fields(self):
+        assert OutcomeRow._fields == ("label", "disposition", "probability", "state")
+        assert OutcomeRow._field_defaults == {}
+
+    def test_assignment_raises(self):
+        row = OutcomeRow("Hn0", "keep", 0.375, states.ghz_plus())
+        with pytest.raises(AttributeError):
+            row.probability = 1.0
+        with pytest.raises(AttributeError):
+            row.extra = 1
+
+    def test_rows_carry_their_branches(self):
+        ensemble = b2g_ensemble()
+        expected = sorted(
+            (b.label, b.disposition, b.weight, id(b.state)) for b in ensemble.branches
+        )
+        got = sorted((*r[:3], id(r.state)) for r in outcome_rows(ensemble))
+        assert got == expected
 
 
 class TestPhaseMatch:

@@ -473,7 +473,19 @@ def _substitute(tree, shared):
 )
 @settings(max_examples=200, deadline=None)
 def test_report_writer_matches_stdlib(tree, shared):
-    # the shared subtree sits at several positions and depths, once more at depth 3
-    doc = [_substitute(tree, shared), shared, {"deep": [shared, shared]}]
+    # the shared subtree sits at several positions and depths; it is met again
+    # at depth 1 and at depth 3 after other fragments have been written, and
+    # at depth 3 inside a container that is itself met again
+    deep = {"deep": [shared, "between", shared]}
+    doc = [
+        _substitute(tree, shared),
+        shared,
+        {"other": [1, "two"]},
+        shared,
+        deep,
+        [[shared]],
+        deep,
+        [{"last": shared}],
+    ]
     expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert _dumps_indented(doc) + "\n" == expected
