@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import oracle, states
 from .detection import pid
 from .elements import ElementDescriptor, apply_circuit
@@ -257,6 +255,8 @@ def _sample_outcomes(
     fractions sits on an integer, so a last-bit change in an enumerated
     probability would otherwise move a count.
     """
+    import numpy as np  # only sampling needs numpy; enumerate runs start without it
+
     probs = np.array([p for _, _, p in aggregated], dtype=float)
     total = probs.sum()
     if not abs(total - 1.0) <= NORM_TOL:

@@ -25,7 +25,7 @@ from .fock import (
     OutcomeEvent,
     PRUNE_EPS,
     PureState,
-    _agree,
+    _once_per_state,
     total_photons,
 )
 
@@ -188,7 +188,7 @@ class RuleAction:
 FeedForwardRule = Mapping[str, RuleAction]
 
 
-def _read(state: PureState, site: tuple) -> list[tuple[float, PureState, tuple]]:
+def _read(site: tuple, state: PureState) -> list[tuple[float, PureState, tuple]]:
     """(weight, normalized surviving state, (site, pattern, label)) per sector.
 
     Sectors come out sorted; terms below ``PRUNE_EPS`` are dropped, and
@@ -251,22 +251,17 @@ def _readout(
 ) -> Ensemble:
     """Read each site, a (modes, optics or None, name, kind) tuple, in turn.
 
-    Each site reads the survivors of the one before, once per distinct state,
-    with weights multiplied as ``Ensemble.then`` does: the sites chained by
-    ``then``, then ``apply_feed_forward``, but every branch built once.
+    Each site reads the survivors of the one before, once per distinct state
+    (``fock._once_per_state``, as ``Ensemble.then`` stages), with weights
+    multiplied: the sites chained by ``then``, then ``apply_feed_forward``,
+    but every branch built once.
     """
     level: list[tuple[float, PureState, tuple]] = [(1.0, state, ())]
     for site in sites:
-        staged, deeper = [], []
-        for weight, parent, readings in level:
-            for seen, sub in staged:
-                if _agree(seen, parent):
-                    break
-            else:
-                sub = _read(parent, site)
-                staged.append((parent, sub))
-            deeper += [(weight * w, post, readings + (r,)) for w, post, r in sub]
-        level = deeper
+        read = _once_per_state(functools.partial(_read, site))
+        level = [
+            (w * sw, post, rs + (r,)) for w, parent, rs in level for sw, post, r in read(parent)
+        ]
     events: dict = {}
     return Ensemble(tuple([_decide(w, post, rs, rules, events) for w, post, rs in level]))
 
@@ -295,7 +290,8 @@ def trace_out(ensemble: Ensemble, mode: int) -> Ensemble:
 
     Each branch's mode is measured as by ``measure_nr``; weights are
     multiplied by the marginal probability of each occupancy, and records
-    are unchanged.
+    are unchanged. No library path calls it: it is kept for the analysis of
+    what a failed gate leaves (ROADMAP item 3).
     """
     return Ensemble(
         tuple(
@@ -310,7 +306,8 @@ def apply_feed_forward(ensemble: Ensemble, rules: FeedForwardRule) -> Ensemble:
     """Decide the branches of a ``measure_nr`` readout as ``_readout`` does.
 
     Apply it before ``Ensemble.then`` prefixes the parent's record, since
-    the whole record is the rule's key.
+    the whole record is the rule's key. No library path calls it; its
+    readers are the tests and the ``perfbench/tracing.py`` boundaries.
     """
     events: dict = {}
     out = []

@@ -19,7 +19,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 DEFAULT_PHOTON_CAP = 8
 PRUNE_EPS = 1e-14
@@ -192,9 +192,6 @@ class PureState:
     def __len__(self) -> int:
         return len(self._amps)
 
-    def __iter__(self) -> Iterator[FockVector]:
-        return iter(sorted(self._amps))
-
     @property
     def norm2(self) -> float:
         return sum(abs(a) ** 2 for a in self._amps.values())
@@ -345,6 +342,30 @@ def _agree(a: PureState, b: PureState) -> bool:
     return True
 
 
+_Staged = TypeVar("_Staged")
+
+
+def _once_per_state(stage: Callable[[PureState], _Staged]) -> Callable[[PureState], _Staged]:
+    """``stage`` wrapped to run once per distinct state.
+
+    A state that agrees (``_agree``) with one already staged through this
+    wrapper gets that earlier result back, the same object; ``stage`` must
+    therefore be a pure function of its input. The wrapper keeps its states
+    for as long as it lives, so make one per chain step.
+    """
+    staged: list[tuple[PureState, _Staged]] = []
+
+    def once(state: PureState) -> _Staged:
+        for seen, result in staged:
+            if _agree(seen, state):
+                return result
+        result = stage(state)
+        staged.append((state, result))
+        return result
+
+    return once
+
+
 # -- measurement records and ensembles -----------------------------------------
 
 
@@ -421,24 +442,20 @@ class Ensemble:
         with weights multiplied and records concatenated; discarded parents
         pass through unchanged.
 
-        The stage runs once per distinct kept state: a parent whose state
-        agrees with one already staged in this call (same modes, photon cap
-        and support, every amplitude within ``PRUNE_EPS``) reuses that
-        result. ``stage`` must therefore be a pure function of its input.
+        The stage runs once per distinct kept state (``_once_per_state``):
+        a parent whose state agrees with one already staged in this call
+        (same modes, photon cap and support, every amplitude within
+        ``PRUNE_EPS``) reuses that result. ``stage`` must therefore be a pure
+        function of its input.
         """
         out: list[Branch] = []
-        staged: list[tuple[PureState, Ensemble]] = []
+        once = _once_per_state(stage)
         for parent in self.branches:
             if parent.disposition == "discard":
                 out.append(parent)
                 continue
-            for state, sub in staged:
-                if _agree(state, parent.state):
-                    break
-            else:
-                result = stage(parent.state)
-                sub = getattr(result, "ensemble", result)
-                staged.append((parent.state, sub))
+            result = once(parent.state)
+            sub = getattr(result, "ensemble", result)
             weight, record = parent.weight, parent.record
             out += [Branch(weight * b.weight, b.state, record + b.record) for b in sub.branches]
         return Ensemble(tuple(out))

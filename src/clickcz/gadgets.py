@@ -116,6 +116,10 @@ def ecc(state: PureState, mode_a: int, mode_b: int) -> Ensemble:
     A register pair damaged upstream can put at most one photon into the
     filter, so it can never produce two clicks; silence on all four rails
     is the unique double-damage signature.
+
+    ``g2a`` reads the filter itself (``G2A_RULES``); this entry point is read
+    by table 3's verification (``oracle._verify_table3``), demo 04 and the
+    ``perfbench`` tracer.
     """
     return _readout(state, (((mode_a, mode_b), _ecc_site_optics, "ecc", "fusion"),), ECC_RULES)
 

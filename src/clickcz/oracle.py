@@ -6,18 +6,21 @@ tables and stated probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from . import states, tables
 from .fock import Branch, Ensemble, FockVector, ModeMismatchError, PureState
 from .gadgets import GadgetResult, a2c, b2g, cz_gate, cz_full_pipeline, ecc_optics, ecc, g2a
 
+if TYPE_CHECKING:
+    import numpy as np
+
 PHASE_TOL = 1e-12
 
 
 # -- dense density matrices ------------------------------------------------------
+# Only this section uses numpy, and each function here that needs it imports
+# it, so that enumerating and verifying start without it.
 
 
 @dataclass(frozen=True)
@@ -29,17 +32,21 @@ class DensityMatrix:
 
     @property
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
+        return float(self.matrix.trace().real)
 
     @property
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        return float(abs(self.matrix - self.matrix.conj().T).max())
 
     @property
     def min_eigenvalue(self) -> float:
+        import numpy as np
+
         return float(np.min(np.linalg.eigvalsh(self.matrix)))
 
     def vector_of(self, state: PureState) -> np.ndarray:
+        import numpy as np
+
         index = {vec: i for i, vec in enumerate(self.basis)}
         out = np.zeros(len(self.basis), dtype=complex)
         for vec, amp in state.items():
@@ -63,6 +70,8 @@ def _support_basis(branches: Sequence[Branch]) -> tuple[FockVector, ...]:
 
 def density_of(ensemble: Ensemble, keep_only: bool = False) -> DensityMatrix:
     """Σ weight·|ψ⟩⟨ψ| over branches; renormalized when restricted to kept."""
+    import numpy as np
+
     branches = ensemble.kept() if keep_only else ensemble.branches
     if not branches:
         raise ValueError("no branches selected")
@@ -90,11 +99,13 @@ def mixture_density(parts: Sequence[tuple[float, PureState]]) -> DensityMatrix:
 def fidelity(rho: DensityMatrix, psi: PureState) -> float:
     """⟨ψ|ρ|ψ⟩ for a pure target state."""
     vec = rho.vector_of(psi)
-    return float(np.real(vec.conj() @ rho.matrix @ vec))
+    return float((vec.conj() @ rho.matrix @ vec).real)
 
 
 def density_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Max absolute entry difference over the union of the two bases."""
+    import numpy as np
+
     basis = tuple(sorted(set(a.basis) | set(b.basis)))
     index = {vec: i for i, vec in enumerate(basis)}
 
@@ -135,7 +146,11 @@ GADGETS: dict[str, Callable[[PureState | None], GadgetResult]] = {
 
 
 def enumerate_exact(gadget: str, input_state: PureState | None = None) -> list[OutcomeRow]:
-    """All measurement branches of a registered gadget, canonically sorted."""
+    """All measurement branches of a registered gadget, canonically sorted.
+
+    The CLI builds its rows through ``outcome_rows`` directly; the readers of
+    this entry point are the tests and the ``perfbench/tracing.py`` boundaries.
+    """
     if gadget not in GADGETS:
         raise ValueError(f"unknown gadget {gadget!r}; expected one of {sorted(GADGETS)}")
     return outcome_rows(GADGETS[gadget](input_state).ensemble)
@@ -157,12 +172,29 @@ def outcome_rows(ensemble: Ensemble) -> list[OutcomeRow]:
 
 
 def aggregate_probabilities(rows: Sequence[OutcomeRow]) -> list[tuple[str, str, float]]:
-    """Total probability per (label, disposition), sorted by label."""
-    acc: dict[tuple[str, str], float] = {}
+    """Total probability per (label, disposition), sorted by label.
+
+    The rows must come in ``outcome_rows`` order, where each key is one run
+    of consecutive rows; a run is summed in row order. A key that sorts
+    before the key of the run ahead of it raises ``ValueError``.
+    """
+    out: list[tuple[str, str, float]] = []
+    label = disposition = None
+    total = 0.0
     for row in rows:
-        key = (row.label, row.disposition)
-        acc[key] = acc.get(key, 0.0) + row.probability
-    return [(k[0], k[1], v) for k, v in sorted(acc.items())]
+        if row.label != label or row.disposition != disposition:
+            if label is not None:
+                if (row.label, row.disposition) < (label, disposition):
+                    raise ValueError(
+                        f"row {(row.label, row.disposition)} comes after "
+                        f"{(label, disposition)}; rows must be in outcome_rows order"
+                    )
+                out.append((label, disposition, total))
+            label, disposition, total = row.label, row.disposition, 0.0
+        total += row.probability
+    if label is not None:
+        out.append((label, disposition, total))
+    return out
 
 
 # -- golden-table verification ----------------------------------------------------

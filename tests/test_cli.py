@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -379,6 +383,33 @@ class TestMainEntry:
         )
         monkeypatch.setattr(oracle, "verify_all_tables", lambda: [broken])
         assert main(["--experiment", "verify", "--out", "/dev/null"]) == 3
+
+
+_NUMPY_PROBE = """
+import os, sys
+from clickcz.cli import main
+for experiment in ("b2g", "g2a", "a2c", "cz", "pipeline", "verify"):
+    assert main(["--experiment", experiment, "--out", os.devnull]) == 0
+    if "numpy" in sys.modules:
+        print(experiment)
+argv = ["--experiment", "cz", "--mode", "sample", "--samples", "10", "--seed", "1"]
+assert main([*argv, "--out", os.devnull]) == 0
+print("sample" if "numpy" in sys.modules else "")
+"""
+
+
+class TestStartupWithoutNumpy:
+    def test_only_sampling_imports_numpy(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        probe = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+        )
+        assert probe.stdout.split() == ["sample"]
 
 
 class TestArgumentParsing:

@@ -13,6 +13,7 @@ from clickcz.fock import (
     OutcomeEvent,
     PRUNE_EPS,
     PureState,
+    _once_per_state,
     creation_apply,
 )
 from clickcz.detection import trace_out
@@ -298,6 +299,56 @@ class TestThen:
         out = registers.then(g2a)
         assert out.total_weight == pytest.approx(1.0, abs=1e-12)
         assert out.keep_weight == pytest.approx(0.125, abs=1e-12)
+
+
+class TestOncePerState:
+    """``_once_per_state`` runs a stage once per distinct state."""
+
+    @staticmethod
+    def _once() -> tuple[Callable[[PureState], object], list[PureState]]:
+        """A wrapped stage that returns a fresh object, and the log of its runs."""
+        calls: list[PureState] = []
+
+        def stage(state: PureState) -> object:
+            calls.append(state)
+            return object()
+
+        return _once_per_state(stage), calls
+
+    def test_agreeing_states_get_the_first_result(self):
+        once, calls = self._once()
+        psi = states.ghz_plus()
+        close = TestThen._nudged(psi, PRUNE_EPS / 2)
+        assert close.items() != psi.items()
+        first = once(psi)
+        assert once(close) is first
+        assert once(psi) is first
+        assert calls == [psi]
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda psi: psi.tensor(PureState.vacuum(1, photon_cap=psi.photon_cap)),
+            lambda psi: PureState(
+                psi.modes, dict(psi.items()), photon_cap=psi.photon_cap + 1
+            ),
+            lambda psi: PureState(
+                psi.modes, {**dict(psi.items()), ((0, 0),) * psi.modes: 1e-13}
+            ),
+            lambda psi: TestThen._nudged(psi, 2 * PRUNE_EPS),
+        ],
+        ids=["modes", "photon_cap", "support", "amplitude"],
+    )
+    def test_distinct_states_run_the_stage_again(self, other):
+        once, calls = self._once()
+        psi = states.ghz_plus()
+        changed = other(psi)
+        first = once(psi)
+        assert once(changed) is not first
+        assert calls == [psi, changed]
+        # each result stays with its own state
+        assert once(psi) is first
+        assert len(calls) == 2
 
 
 class TestBranchRecord:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from clickcz import gadgets
+from clickcz import detection, fock, gadgets
 from clickcz.fock import Branch, ConsistencyError, PureState, SimulatorError
 from clickcz.gadgets import (
     CZ_RULES,
@@ -358,6 +358,44 @@ class TestReadoutInPlace:
         # branches by G2A_RULES as it builds them
         assert len(readouts) == distinct
         assert all(rules is gadgets.G2A_RULES for _, _, rules in readouts)
+
+
+class TestOneStagingHelper:
+    """The gate's readout and the pipeline's ``then`` both stage through
+    ``fock._once_per_state``."""
+
+    @staticmethod
+    def _reads(monkeypatch, module) -> list:
+        """Wrap the helper as ``module`` names it; return the states it reads."""
+        reads = []
+        helper = module._once_per_state
+
+        def counting(stage):
+            once = helper(stage)
+
+            def read(state):
+                reads.append(state)
+                return once(state)
+
+            return read
+
+        monkeypatch.setattr(module, "_once_per_state", counting)
+        return reads
+
+    def test_gate_readout_and_pipeline_then(self, monkeypatch):
+        by_readout = self._reads(monkeypatch, detection)
+        by_then = self._reads(monkeypatch, fock)
+        psi = states.two_qubit(1, 1j, -1, 0.5)
+        cz_gate(psi)
+        # the first fusion reads the input once, the second each of its 8 survivors
+        assert len(by_readout) == 1 + 8
+        assert by_then == []
+        by_readout.clear()
+        cz_full_pipeline(psi)
+        # one B2G readout, one filter per distinct register state, one gate
+        assert len(by_readout) == 1 + 4 + 9
+        # g2a stages the 16 kept register pairs, the gate the 16 kept ancillas
+        assert len(by_then) == 16 + 16
 
 
 class TestReadoutModes:

@@ -112,6 +112,34 @@ class TestEnumeration:
         assert agg[("00", "discard")] == pytest.approx(0.25, abs=TOL)
 
 
+class TestAggregation:
+    """Runs of equal (label, disposition) are summed in row order."""
+
+    @staticmethod
+    def _reference(rows):
+        acc = {}
+        for row in rows:
+            key = (row.label, row.disposition)
+            acc[key] = acc.get(key, 0.0) + row.probability
+        return [(label, disposition, p) for (label, disposition), p in sorted(acc.items())]
+
+    @pytest.mark.parametrize("gadget", ["cz", "pipeline"])
+    def test_equals_a_dict_reference(self, gadget):
+        rows = enumerate_exact(gadget)
+        got = aggregate_probabilities(rows)
+        assert len(got) < len(rows)
+        assert got == self._reference(rows)
+
+    def test_empty(self):
+        assert aggregate_probabilities([]) == []
+
+    def test_rows_out_of_order_raise(self):
+        rows = enumerate_exact("b2g")
+        assert len({(r.label, r.disposition) for r in rows}) > 1
+        with pytest.raises(ValueError, match="outcome_rows order"):
+            aggregate_probabilities(rows[::-1])
+
+
 class TestOutcomeRow:
     """``OutcomeRow`` is a named tuple: fixed fields, no defaults, no assignment."""
 
