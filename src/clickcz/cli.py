@@ -25,13 +25,14 @@ from .elements import ElementDescriptor, apply_circuit
 from .fock import NORM_TOL, PureState, SimulatorError
 from .gadgets import B2G_RULES
 
-# The config fields each experiment reads besides --out and --format; the
-# gadget experiments read --samples and --seed with --mode sample only.
-_GADGET_FIELDS = ("mode", "input_path", "emit_states")
+# The config fields each experiment reads besides --out; the gadget
+# experiments read --samples and --seed with --mode sample only. A run-circuit
+# report has no outcome rows, so it has no csv form and reads no --format.
+_GADGET_FIELDS = ("mode", "input_path", "emit_states", "fmt")
 _READS = {
     **dict.fromkeys(("b2g", "g2a", "a2c", "cz", "pipeline"), _GADGET_FIELDS),
-    "pid-chain": ("depth",),
-    "verify": (),
+    "pid-chain": ("depth", "fmt"),
+    "verify": ("fmt",),
     "run-circuit": ("input_path", "circuit_path"),
 }
 EXPERIMENTS = tuple(_READS)
@@ -65,14 +66,16 @@ class ExperimentConfig:
         """Reject bad values, and set fields that the experiment does not read."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        reads = {"experiment", "out_path", "fmt", *_READS[self.experiment]}
+        reads = {"experiment", "out_path", *_READS[self.experiment]}
         if "mode" in reads and self.mode == "sample":
             reads |= {"samples", "seed"}
         for f in fields(self):
             if f.name in reads or getattr(self, f.name) == f.default:
                 continue
-            # the flag as typed: input_path is --input, emit_states --emit-states
-            flag = "--" + f.name.removesuffix("_path").replace("_", "-")
+            # the flag as typed: input_path is --input, emit_states --emit-states,
+            # fmt --format
+            name = "format" if f.name == "fmt" else f.name.removesuffix("_path")
+            flag = "--" + name.replace("_", "-")
             if "mode" in reads and f.name in ("samples", "seed"):
                 raise ConfigError(f"{flag} is read only with --mode sample")
             raise ConfigError(f"--experiment {self.experiment} does not read {flag}")
@@ -87,6 +90,8 @@ class ExperimentConfig:
                 raise ConfigError("sample mode requires --seed")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"format must be 'json' or 'csv', got {self.fmt!r}")
+        if self.fmt == "csv" and self.emit_states:
+            raise ConfigError("--format csv has no room for --emit-states; use json")
 
 
 def _float_text(x: float) -> str:

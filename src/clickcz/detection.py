@@ -188,8 +188,8 @@ class RuleAction:
 FeedForwardRule = Mapping[str, RuleAction]
 
 
-def _read(site: tuple, state: PureState) -> list[tuple[float, PureState, tuple]]:
-    """(weight, normalized surviving state, (site, pattern, label)) per sector.
+def _read(site: tuple, state: PureState) -> list[tuple[float, PureState, OutcomeEvent]]:
+    """(weight, normalized surviving state, event) per sector.
 
     Sectors come out sorted; terms below ``PRUNE_EPS`` are dropped, and
     sectors left empty omitted. The optics act on each occupancy once.
@@ -218,32 +218,26 @@ def _read(site: tuple, state: PureState) -> list[tuple[float, PureState, tuple]]
         weight = sum([abs(a) ** 2 for a in sub.values()])
         scale = 1.0 / math.sqrt(weight)
         post = PureState._trusted(rest, {v: a * scale for v, a in sub.items()}, state.photon_cap)
-        out.append((weight, post, (name, *_reading(sector, site_kind))))
+        out.append((weight, post, OutcomeEvent(name, *_reading(sector, site_kind))))
     return out
 
 
-def _decide(weight, state, readings, rules: FeedForwardRule | None, events: dict) -> Branch:
+def _decide(weight, state, record, rules: FeedForwardRule | None) -> Branch:
     """Build one branch, decided by the rule of its labels joined (``"13"``).
 
-    An outcome with no rule is a hard error, not a silent keep. The action's
-    disposition goes on every event (``events`` reuses equal ones).
+    The action's disposition goes on the branch, and a kept state gets the
+    action's correction. An outcome with no rule is a hard error, not a
+    silent keep; ``rules=None`` keeps every branch as read.
     """
-    disposition = "keep"
-    if rules is not None:
-        key = "".join([r[2] for r in readings])
-        action = rules.get(key)
-        if action is None:
-            raise FeedForwardError(f"no feed-forward rule for outcome {key!r}")
-        disposition = action.disposition
-        if disposition == "keep" and action.elements:
-            state = action._correct(state)
-    record = []
-    for r in readings:
-        event = events.get((r, disposition))
-        if event is None:
-            event = events[r, disposition] = OutcomeEvent(*r, disposition)
-        record.append(event)
-    return Branch(weight, state, tuple(record))
+    if rules is None:
+        return Branch(weight, state, record)
+    key = "".join([e.label for e in record])
+    action = rules.get(key)
+    if action is None:
+        raise FeedForwardError(f"no feed-forward rule for outcome {key!r}")
+    if action.disposition == "keep" and action.elements:
+        state = action._correct(state)
+    return Branch(weight, state, record, action.disposition)
 
 
 def _readout(
@@ -256,14 +250,13 @@ def _readout(
     multiplied: the sites chained by ``then``, then ``apply_feed_forward``,
     but every branch built once.
     """
-    level: list[tuple[float, PureState, tuple]] = [(1.0, state, ())]
+    level: list[tuple[float, PureState, tuple[OutcomeEvent, ...]]] = [(1.0, state, ())]
     for site in sites:
         read = _once_per_state(functools.partial(_read, site))
         level = [
-            (w * sw, post, rs + (r,)) for w, parent, rs in level for sw, post, r in read(parent)
+            (w * sw, post, rs + (e,)) for w, parent, rs in level for sw, post, e in read(parent)
         ]
-    events: dict = {}
-    return Ensemble(tuple([_decide(w, post, rs, rules, events) for w, post, rs in level]))
+    return Ensemble(tuple([_decide(w, post, rs, rules) for w, post, rs in level]))
 
 
 def measure_nr(
@@ -290,12 +283,12 @@ def trace_out(ensemble: Ensemble, mode: int) -> Ensemble:
 
     Each branch's mode is measured as by ``measure_nr``; weights are
     multiplied by the marginal probability of each occupancy, and records
-    are unchanged. No library path calls it: it is kept for the analysis of
-    what a failed gate leaves (ROADMAP item 3).
+    and dispositions are unchanged. No library path calls it: it is kept
+    for the analysis of what a failed gate leaves (ROADMAP item 3).
     """
     return Ensemble(
         tuple(
-            Branch(branch.weight * b.weight, b.state, branch.record)
+            Branch(branch.weight * b.weight, b.state, branch.record, branch.disposition)
             for branch in ensemble.branches
             for b in measure_nr(branch.state, (mode,), "trace", "raw").branches
         )
@@ -305,16 +298,14 @@ def trace_out(ensemble: Ensemble, mode: int) -> Ensemble:
 def apply_feed_forward(ensemble: Ensemble, rules: FeedForwardRule) -> Ensemble:
     """Decide the branches of a ``measure_nr`` readout as ``_readout`` does.
 
-    Apply it before ``Ensemble.then`` prefixes the parent's record, since
-    the whole record is the rule's key. No library path calls it; its
-    readers are the tests and the ``perfbench/tracing.py`` boundaries.
+    Each branch's record is the rule's key, and the rule alone sets its
+    disposition. Apply it before ``Ensemble.then`` prefixes the parent's
+    record. No library path calls it; its readers are the tests and the
+    ``perfbench/tracing.py`` boundaries.
     """
-    events: dict = {}
-    out = []
-    for b in ensemble.branches:
-        readings = [(e.site, e.pattern, e.label) for e in b.record]
-        out.append(_decide(b.weight, b.state, readings, rules, events))
-    return Ensemble(tuple(out))
+    return Ensemble(
+        tuple([_decide(b.weight, b.state, b.record, rules) for b in ensemble.branches])
+    )
 
 
 def pid_split(state: PureState, mode: int) -> tuple[PureState, int]:

@@ -30,11 +30,19 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 KINDS = ("BS", "PBS", "PR", "PS", "PDPS")
 _ARITY = {"BS": 2, "PBS": 2, "PR": 1, "PS": 1, "PDPS": 1}
+# The one angle each kind reads; BS and PBS read none.
+_ANGLE = {"BS": None, "PBS": None, "PR": "theta", "PS": "phi", "PDPS": "phi"}
+_JSON_KEYS = frozenset({"kind", "targets", "theta", "phi"})
 
 
 @dataclass(frozen=True)
 class ElementDescriptor:
-    """One linear-optical element: kind, angle parameter, target modes."""
+    """One linear-optical element: kind, angle parameter, target modes.
+
+    PR reads ``theta``, PS and PDPS read ``phi``, and BS and PBS read no
+    angle; a missing angle, or one the kind does not read, raises
+    ``ValueError``.
+    """
 
     kind: str
     targets: tuple[int, ...]
@@ -53,12 +61,13 @@ class ElementDescriptor:
             )
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"targets must be distinct, got {self.targets}")
-        if self.kind == "PR" and self.theta is None:
-            raise ValueError("PR requires theta")
-        if self.kind in ("PS", "PDPS") and self.phi is None:
-            raise ValueError(f"{self.kind} requires phi")
         for name, angle in (("theta", self.theta), ("phi", self.phi)):
-            if angle is not None and not math.isfinite(angle):
+            if angle is None:
+                if name == _ANGLE[self.kind]:
+                    raise ValueError(f"{self.kind} requires {name}")
+            elif name != _ANGLE[self.kind]:
+                raise ValueError(f"{self.kind} takes no {name}, got {name}={angle!r}")
+            elif not math.isfinite(angle):
                 raise ValueError(f"{name} must be finite, got {angle!r}")
 
     def to_json_dict(self, *, one_based: bool = False) -> dict:
@@ -72,6 +81,12 @@ class ElementDescriptor:
 
     @staticmethod
     def from_json_dict(data: Mapping, *, one_based: bool = False) -> "ElementDescriptor":
+        """Load the ``to_json_dict`` form; a key it does not write raises ``ValueError``."""
+        if not isinstance(data, Mapping):
+            raise TypeError(f"an element descriptor must be an object, got {data!r}")
+        unknown = [key for key in data if key not in _JSON_KEYS]
+        if unknown:
+            raise ValueError(f"unknown element key(s) {unknown}")
         targets = tuple(_integer(t, "a target") for t in data["targets"])
         if one_based and min(targets, default=1) < 1:
             raise ValueError(f"targets are 1-based, got {targets}")

@@ -369,43 +369,30 @@ def _once_per_state(stage: Callable[[PureState], _Staged]) -> Callable[[PureStat
 # -- measurement records and ensembles -----------------------------------------
 
 
-@dataclass(frozen=True)
-class OutcomeEvent:
+class OutcomeEvent(NamedTuple):
     """One detection event: where it happened, what clicked, how it was read."""
 
     site: str
     pattern: tuple[bool, ...]
     label: str
-    disposition: str = "keep"
 
     def to_json_dict(self) -> dict:
-        return {
-            "site": self.site,
-            "pattern": list(self.pattern),
-            "label": self.label,
-            "disposition": self.disposition,
-        }
+        return {"site": self.site, "pattern": list(self.pattern), "label": self.label}
 
 
 class Branch(NamedTuple):
-    """A weighted pure state tagged with its classical outcome record.
+    """A weighted pure state, its outcome record, and the decision on it.
 
     A named tuple, so it is cheap to build and immutable, and equality is
-    tuple equality. ``disposition`` and ``label`` derive from the record on
-    each read.
+    tuple equality. ``disposition`` is ``"keep"`` or ``"discard"``: one
+    decision for the whole branch, made once by its stage's rule. The record
+    holds only the readings; ``label`` joins them on each read.
     """
 
     weight: float
     state: PureState
     record: tuple[OutcomeEvent, ...] = ()
-
-    @property
-    def disposition(self) -> str:
-        """``'discard'`` if any event of the record was discarded, else ``'keep'``."""
-        for e in self.record:
-            if e.disposition == "discard":
-                return "discard"
-        return "keep"
+    disposition: str = "keep"
 
     @property
     def label(self) -> str:
@@ -439,8 +426,8 @@ class Ensemble:
 
         ``stage`` maps a state to an ensemble (or to anything holding one as
         ``.ensemble``). Each kept parent becomes one branch per stage branch,
-        with weights multiplied and records concatenated; discarded parents
-        pass through unchanged.
+        with weights multiplied, records concatenated and the stage branch's
+        disposition; discarded parents pass through unchanged.
 
         The stage runs once per distinct kept state (``_once_per_state``):
         a parent whose state agrees with one already staged in this call
@@ -457,13 +444,24 @@ class Ensemble:
             result = once(parent.state)
             sub = getattr(result, "ensemble", result)
             weight, record = parent.weight, parent.record
-            out += [Branch(weight * b.weight, b.state, record + b.record) for b in sub.branches]
+            out += [
+                Branch(weight * b.weight, b.state, record + b.record, b.disposition)
+                for b in sub.branches
+            ]
         return Ensemble(tuple(out))
 
     def combine(self, other: "Ensemble") -> "Ensemble":
-        """Branch-wise product: states tensored, weights multiplied."""
+        """Branch-wise product: states tensored, weights multiplied.
+
+        A pair is discarded if either factor is.
+        """
         out = [
-            Branch(a.weight * b.weight, a.state.tensor(b.state), a.record + b.record)
+            Branch(
+                a.weight * b.weight,
+                a.state.tensor(b.state),
+                a.record + b.record,
+                "discard" if "discard" in (a.disposition, b.disposition) else "keep",
+            )
             for a in self.branches
             for b in other.branches
         ]

@@ -9,7 +9,7 @@ recomputed from branch weights on every access.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import states
 from .detection import RuleAction, _readout, pid, pid_split
@@ -283,7 +283,7 @@ def cz_full_pipeline(input_state: PureState) -> PipelineResult:
     first = b2g(bell.tensor(bell), site="b2g1").ensemble
     second = Ensemble(
         tuple(
-            Branch(b.weight, b.state, tuple(replace(e, site="b2g2") for e in b.record))
+            b._replace(record=tuple([e._replace(site="b2g2") for e in b.record]))
             for b in first.branches
         )
     )

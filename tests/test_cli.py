@@ -468,6 +468,11 @@ class TestUnreadFlags:
             ("b2g --circuit x.json", "--circuit"),
             ("verify --emit-states", "--emit-states"),
             ("pid-chain --input x.json", "--input"),
+            # a run-circuit report has no outcome rows to write as csv
+            ("run-circuit --format csv --input x.json --circuit c.json", "--format"),
+            # csv has no room for the states
+            ("cz --emit-states --format csv", "--emit-states"),
+            ("pipeline --emit-states --format csv", "--format csv"),
         ],
     )
     def test_exit_code(self, capsys, argv, flag):
@@ -541,6 +546,10 @@ class TestInputBoundary:
             ({"kind": "PR", "targets": [0], "theta": 0.3}, "targets are 1-based, got (0,)"),
             ({"kind": "BS", "targets": [2, -3]}, "targets are 1-based, got (2, -3)"),
             ({"kind": "PR", "targets": [True], "theta": 0.3}, "target must be an integer"),
+            ({"kind": "BS", "targets": [1, 2], "theta": 0.7}, "BS takes no theta"),
+            ({"kind": "PS", "targets": [1], "phi": 0.1, "theta": 0.5}, "PS takes no theta"),
+            ({"kind": "PR", "targets": [1], "theta": 0.3, "phi": 2.0}, "PR takes no phi"),
+            ({"kind": "PBS", "targets": [1, 2], "thetta": 1}, "unknown element key(s) ['thetta']"),
         ],
         ids=[
             "nan-theta",
@@ -549,6 +558,10 @@ class TestInputBoundary:
             "zero-target",
             "negative-target",
             "bool-target",
+            "bs-theta",
+            "ps-theta",
+            "pr-phi",
+            "misspelt-key",
         ],
     )
     def test_bad_element(self, tmp_path, capsys, element, message):

@@ -7,6 +7,7 @@ import clickcz
 from clickcz import detection, elements, gadgets
 from clickcz.detection import (
     RuleAction,
+    _decide,
     _readout,
     _transfer,
     apply_feed_forward,
@@ -19,8 +20,10 @@ from clickcz.elements import apply_circuit, apply_pr, bs, pdps, pr, ps
 from clickcz.fock import (
     DEFAULT_PHOTON_CAP,
     PRUNE_EPS,
+    Branch,
     ConsistencyError,
     FeedForwardError,
+    OutcomeEvent,
     PureState,
 )
 from clickcz.gadgets import B2G_RULES
@@ -237,9 +240,41 @@ class TestRecordSerialization:
         out = pid(states.qubit(1, 0), 0, NO_OP_RULES)
         event = out.branches[0].record[-1]
         data = event.to_json_dict()
-        assert set(data) == {"site", "pattern", "label", "disposition"}
-        assert data["disposition"] in ("keep", "discard")
+        assert set(data) == {"site", "pattern", "label"}
         assert all(isinstance(c, bool) for c in data["pattern"])
+
+
+class TestDecide:
+    """``_decide`` puts its rule's one decision on the branch it builds."""
+
+    RECORD = (
+        OutcomeEvent("a2c1", (True, False, True, False), "2"),
+        OutcomeEvent("a2c2", (True, True, False, False), "5"),
+    )
+
+    def test_no_rules_keeps_the_branch_as_read(self):
+        psi = states.qubit(1, 0)
+        assert _decide(0.5, psi, self.RECORD, None) == Branch(0.5, psi, self.RECORD, "keep")
+
+    @pytest.mark.parametrize("disposition", ["keep", "discard"])
+    def test_rule_sets_the_disposition(self, disposition):
+        psi = states.qubit(1, 0)
+        rules = {"25": RuleAction(elements=(pdps(0, math.pi),), disposition=disposition)}
+        branch = _decide(0.5, psi, self.RECORD, rules)
+        assert branch.disposition == disposition
+        assert branch.record is self.RECORD
+        # only a kept branch is corrected
+        assert (branch.state is psi) == (disposition == "discard")
+
+    def test_events_are_readings_only(self):
+        out = pid(PureState(2, {(H, E): 0.6, (H, H): 0.8}), 1, B2G_RULES)
+        assert [b.disposition for b in out.branches] == ["discard", "keep", "keep"]
+        assert OutcomeEvent._fields == ("site", "pattern", "label")
+        assert [b.record for b in out.branches] == [
+            (OutcomeEvent("pid", (False, False), "00"),),
+            (OutcomeEvent("pid", (False, True), "0Vn"),),
+            (OutcomeEvent("pid", (True, False), "Hn0"),),
+        ]
 
 
 class TestFeedForward:

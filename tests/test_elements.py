@@ -170,6 +170,38 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             ElementDescriptor("XYZ", (0,))
 
+    @pytest.mark.parametrize(
+        "kind, targets, angles, message",
+        [
+            ("BS", (0, 1), {"theta": 0.7}, "BS takes no theta"),
+            ("PBS", (0, 1), {"phi": 0.2}, "PBS takes no phi"),
+            ("PS", (0,), {"phi": 0.1, "theta": 0.5}, "PS takes no theta"),
+            ("PDPS", (0,), {"phi": 0.1, "theta": 0.5}, "PDPS takes no theta"),
+            ("PR", (0,), {"theta": 0.3, "phi": 2.0}, "PR takes no phi"),
+        ],
+    )
+    def test_angle_the_kind_does_not_read_rejected(self, kind, targets, angles, message):
+        with pytest.raises(ValueError, match=message):
+            ElementDescriptor(kind, targets, **angles)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"kind": "BS", "targets": [1, 2], "theta": 0.7}, "BS takes no theta"),
+            ({"kind": "PS", "targets": [1], "phi": 0.1, "theta": 0.5}, "PS takes no theta"),
+            ({"kind": "PR", "targets": [1], "theta": 0.3, "phi": 2.0}, "PR takes no phi"),
+            ({"kind": "PBS", "targets": [1, 2], "thetta": 1}, r"unknown element key\(s\)"),
+        ],
+        ids=["bs-theta", "ps-theta", "pr-phi", "misspelt-key"],
+    )
+    def test_json_keys_the_kind_does_not_read_rejected(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            ElementDescriptor.from_json_dict(data, one_based=True)
+
+    def test_json_descriptor_must_be_an_object(self):
+        with pytest.raises(TypeError, match="must be an object"):
+            ElementDescriptor.from_json_dict(["PBS", [1, 2]])
+
     @pytest.mark.parametrize("target", [1.5, 0.0, True, "0", None])
     def test_non_integer_target_rejected(self, target):
         # a float used to fail deep in a kernel, and True passed as mode 1

@@ -180,8 +180,8 @@ class TestTraceOut:
             assert out.total_weight == pytest.approx(ens.total_weight, abs=1e-12)
 
 
-def _event(site: str, disposition: str = "keep") -> OutcomeEvent:
-    return OutcomeEvent(site=site, pattern=(True,), label=site, disposition=disposition)
+def _event(site: str) -> OutcomeEvent:
+    return OutcomeEvent(site=site, pattern=(True,), label=site)
 
 
 class TestThen:
@@ -189,12 +189,12 @@ class TestThen:
         return Ensemble(
             (
                 Branch(0.75, state, (_event("s1"),)),
-                Branch(0.25, state.scaled(-1), (_event("s2", "discard"),)),
+                Branch(0.25, state.scaled(-1), (_event("s2"),), "discard"),
             )
         )
 
     def test_discarded_parent_passes_through(self):
-        dropped = Branch(0.3, states.v0h(), (_event("p", "discard"),))
+        dropped = Branch(0.3, states.v0h(), (_event("p"),), "discard")
         kept = Branch(0.7, states.ghz_plus(), (_event("q"),))
         out = Ensemble((dropped, kept)).then(self._stage)
         assert out.branches[0] is dropped
@@ -207,6 +207,7 @@ class TestThen:
         for child, part in zip(out.branches, sub.branches):
             assert child.weight == parent.weight * part.weight
             assert child.record == parent.record + part.record
+            assert child.disposition == part.disposition
             assert child.state.items() == part.state.items()
         assert [e.site for e in out.branches[1].record] == ["a", "b", "s2"]
 
@@ -265,7 +266,7 @@ class TestThen:
 
     def test_stage_never_runs_on_discarded_parents(self):
         calls: list[PureState] = []
-        dropped = Branch(0.5, states.v0h(), (_event("p", "discard"),))
+        dropped = Branch(0.5, states.v0h(), (_event("p"),), "discard")
         kept = Branch(0.5, states.ghz_plus(), (_event("q"),))
         Ensemble((dropped, kept, dropped)).then(self._counted(calls))
         assert calls == [kept.state]
@@ -299,6 +300,41 @@ class TestThen:
         out = registers.then(g2a)
         assert out.total_weight == pytest.approx(1.0, abs=1e-12)
         assert out.keep_weight == pytest.approx(0.125, abs=1e-12)
+
+
+class TestDispositionCarried:
+    """Each branch built from another carries the one decision on it."""
+
+    def test_then_takes_each_stage_branch_disposition(self):
+        kept = Branch(0.5, states.ghz_plus(), (_event("p"),))
+        dropped = Branch(0.5, states.v0h(), (_event("q"),), "discard")
+        out = Ensemble((kept, dropped)).then(TestThen()._stage)
+        assert [b.disposition for b in out.branches] == ["keep", "discard", "discard"]
+        assert out.keep_weight == pytest.approx(0.375, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "first, second, expected",
+        [
+            ("keep", "keep", "keep"),
+            ("keep", "discard", "discard"),
+            ("discard", "keep", "discard"),
+            ("discard", "discard", "discard"),
+        ],
+    )
+    def test_combine_discards_a_pair_if_either_factor_is(self, first, second, expected):
+        a = Ensemble((Branch(1.0, states.qubit(1, 0), (_event("a"),), first),))
+        b = Ensemble((Branch(1.0, states.qubit(0, 1), (_event("b"),), second),))
+        (pair,) = a.combine(b).branches
+        assert pair.disposition == expected
+        assert pair.label == "a+b"
+
+    @pytest.mark.parametrize("disposition", ["keep", "discard"])
+    def test_trace_out_keeps_the_parent_disposition(self, disposition):
+        parent = Branch(0.5, states.bell_phi_plus(), (_event("p"),), disposition)
+        out = trace_out(Ensemble((parent,)), 1)
+        assert len(out.branches) == 2
+        assert [b.disposition for b in out.branches] == [disposition] * 2
+        assert [b.record for b in out.branches] == [parent.record] * 2
 
 
 class TestOncePerState:
@@ -355,9 +391,10 @@ class TestBranchRecord:
     """``Branch`` is a named tuple: fixed fields, a default record, no assignment."""
 
     def test_fields_and_default(self):
-        assert Branch._fields == ("weight", "state", "record")
-        assert Branch._field_defaults == {"record": ()}
+        assert Branch._fields == ("weight", "state", "record", "disposition")
+        assert Branch._field_defaults == {"record": (), "disposition": "keep"}
         assert Branch(0.5, states.ghz_plus()).record == ()
+        assert Branch(0.5, states.ghz_plus()).disposition == "keep"
 
     def test_assignment_raises(self):
         branch = Branch(0.5, states.ghz_plus())
@@ -368,16 +405,15 @@ class TestBranchRecord:
 
     def test_label_and_disposition_on_a_recorded_branch(self):
         psi = states.ghz_plus()
-        events = (_event("H"), _event("3", "discard"), _event("V"))
+        events = (_event("H"), _event("3"), _event("V"))
         assert Branch(0.5, psi, events).label == "H+3+V"
-        assert Branch(0.5, psi, events).disposition == "discard"
-        assert Branch(0.5, psi, events[:1]).disposition == "keep"
+        assert Branch(0.5, psi, events, "discard").disposition == "discard"
+        assert Branch(0.5, psi, events).disposition == "keep"
         assert Branch(0.5, psi).label == ""
-        assert Branch(0.5, psi).disposition == "keep"
 
     def test_equality_is_tuple_equality(self):
         psi = states.ghz_plus()
-        assert Branch(0.5, psi) == (0.5, psi, ())
+        assert Branch(0.5, psi) == (0.5, psi, (), "keep")
         assert Branch(0.5, psi) != Branch(0.25, psi)
 
 

@@ -303,16 +303,18 @@ class TestPipelineReuse:
                 continue
             for b in cz_gate(psi, ancilla=parent.state).ensemble.branches:
                 expected.append(
-                    Branch(parent.weight * b.weight, b.state, parent.record + b.record)
+                    Branch(
+                        parent.weight * b.weight,
+                        b.state,
+                        parent.record + b.record,
+                        b.disposition,
+                    )
                 )
         got = cz_full_pipeline(psi).ensemble.branches
         assert len(got) == len(expected)
         for mine, ref in zip(got, expected):
             assert mine.label == ref.label
             assert mine.disposition == ref.disposition
-            assert [e.disposition for e in mine.record] == [
-                e.disposition for e in ref.record
-            ]
             assert mine.weight == pytest.approx(ref.weight, abs=TOL)
             assert mine.state.modes == ref.state.modes
             terms = dict(mine.state.items())
@@ -332,6 +334,47 @@ def _counting(monkeypatch, owner, name) -> list:
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+class TestPipelineDispositions:
+    """Each pipeline branch carries the one decision its record heralds."""
+
+    # per stage: its rules, and the site groups whose joined labels they decide
+    STAGES = (
+        (gadgets.B2G_RULES, (("b2g1",), ("b2g2",))),
+        (gadgets.G2A_RULES, (("g2a/ecc",),)),
+        (gadgets._CZ_PAIR_RULES, (("a2c1", "a2c2"),)),
+    )
+
+    def _verdicts(self, branch: Branch) -> list[str]:
+        """Per stage the record reaches: ``"discard"`` if its rules discard it."""
+        labels = {e.site: e.label for e in branch.record}
+        verdicts = []
+        for rules, groups in self.STAGES:
+            if groups[0][0] not in labels:
+                break
+            keys = ["".join(labels[site] for site in group) for group in groups]
+            discarded = any(rules[key].disposition == "discard" for key in keys)
+            verdicts.append("discard" if discarded else "keep")
+        return verdicts
+
+    def test_disposition_is_the_verdict_of_the_last_stage_reached(self):
+        branches = cz_full_pipeline(states.two_qubit(1, 1j, -1, 0.5)).ensemble.branches
+        reached = {1: 0.0, 2: 0.0, 3: 0.0}
+        for branch in branches:
+            verdicts = self._verdicts(branch)
+            # a discard ends the record; a kept branch has read every stage
+            assert "discard" not in verdicts[:-1]
+            assert branch.disposition == verdicts[-1]
+            if branch.disposition == "discard":
+                reached[len(verdicts)] += branch.weight
+            else:
+                assert len(verdicts) == 3
+        # each conversion keeps 3/4; the filter keeps 1/8 of the pairs it
+        # gets, in all; the gate keeps 1/4 of that
+        assert reached[1] == pytest.approx(1 - 0.75**2, abs=TOL)
+        assert reached[2] == pytest.approx(0.75**2 - 1 / 8, abs=TOL)
+        assert reached[3] == pytest.approx(1 / 8 - 1 / 32, abs=TOL)
 
 
 class TestReadoutInPlace:

@@ -4,7 +4,6 @@ import cmath
 import json
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -383,8 +382,7 @@ def _decided(ensemble, rules):
         state = b.state
         if action.disposition == "keep" and action.elements:
             state = apply_circuit(state, action.elements)
-        record = tuple(replace(e, disposition=action.disposition) for e in b.record)
-        out.append(Branch(b.weight, state, record))
+        out.append(Branch(b.weight, state, b.record, action.disposition))
     return out
 
 
@@ -420,8 +418,9 @@ def test_deciding_readout_matches_composition(first, data, psi):
             _readout(psi, sites, rules)
         return
     got = _readout(psi, sites, rules).branches
-    # same order, records and weights bit for bit; corrections to 1e-15
+    # same order, records, dispositions and weights bit for bit; corrections to 1e-15
     assert [b.record for b in got] == [b.record for b in expected]
+    assert [b.disposition for b in got] == [b.disposition for b in expected]
     assert [b.weight for b in got] == [b.weight for b in expected]
     for mine, ref in zip(got, expected):
         assert mine.state.modes == ref.state.modes
