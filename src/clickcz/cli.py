@@ -30,7 +30,7 @@ from .gadgets import B2G_RULES
 # report has no outcome rows, so it has no csv form and reads no --format.
 _GADGET_FIELDS = ("mode", "input_path", "emit_states", "fmt")
 _READS = {
-    **dict.fromkeys(("b2g", "g2a", "a2c", "cz", "pipeline"), _GADGET_FIELDS),
+    **dict.fromkeys(oracle.GADGETS, _GADGET_FIELDS),
     "pid-chain": ("depth", "fmt"),
     "verify": ("fmt",),
     "run-circuit": ("input_path", "circuit_path"),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
-from .elements import ElementDescriptor, apply_circuit, apply_pbs, apply_pr
+from .elements import ElementDescriptor, apply_circuit, apply_pbs, apply_pr, pbs, pr
 from .fock import (
     Branch,
     ConsistencyError,
@@ -119,69 +119,62 @@ def _reading(sector: FockVector, site_kind: str) -> tuple[ClickPattern, str]:
     return pattern, interpret_pattern(pattern, site_kind)
 
 
-# The optics in front of a site's detectors: maps a state of the measured
-# modes alone to the state on the detector rails and the rails in reporting
-# order. Every output mode must be a detector rail.
-Optics = Callable[[PureState], tuple[PureState, tuple[int, ...]]]
-
-
-@functools.lru_cache(maxsize=None)
-def _transfer(optics: Optics, occ: FockVector) -> tuple[tuple[FockVector, complex], ...]:
-    """Detector-rail image of the measured modes' occupancy ``occ``.
-
-    Runs the site's optics on the one-term state |occ⟩ and returns its
-    (sector, coefficient) pairs. Keyed by the optics and the occupancy only,
-    so the photon cap bounds the cache; ``optics`` must be a module-level
-    function, not a closure made per call.
-    """
-    local = PureState._trusted(len(occ), {occ: 1 + 0j}, total_photons(occ))
-    out, rails = optics(local)
-    sector_of = _picker(rails)
-    return tuple((sector_of(vec), amp) for vec, amp in out._amps.items())
-
-
 @dataclass(frozen=True)
-class RuleAction:
-    """Feed-forward response to one outcome label: ``"keep"`` or ``"discard"``.
+class _Circuit:
+    """Elements on modes 0 up to the highest target, read through a table.
 
-    Kept branches get the ``elements`` through a table the action owns: the
-    image of each occupancy of modes 0 up to the highest target, filled on
-    first use by ``apply_circuit`` on that occupancy alone.
+    The table is the circuit's own: the image of each occupancy it has met,
+    so the photon cap bounds it; no module-level cache is keyed on an angle.
     """
 
     elements: tuple[ElementDescriptor, ...] = ()
-    disposition: str = "keep"
     _span: int = field(init=False, repr=False, compare=False)
     _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.disposition not in ("keep", "discard"):
-            raise ValueError(f"disposition must be keep or discard, got {self.disposition!r}")
         elements = tuple(self.elements)
         if not all(isinstance(e, ElementDescriptor) for e in elements):
-            raise TypeError(f"feed-forward elements must be ElementDescriptors, got {elements}")
+            raise TypeError(f"circuit elements must be ElementDescriptors, got {elements}")
         object.__setattr__(self, "elements", elements)
         top = max((t for e in elements for t in e.targets), default=-1)
         object.__setattr__(self, "_span", top + 1)
 
-    def _correct(self, state: PureState) -> PureState:
+    def image(self, head: FockVector) -> tuple[tuple[FockVector, complex], ...]:
+        """The exact, unpruned image of |head⟩ padded with vacuum to the span."""
+        images = self._table.get(head)
+        if images is None:
+            span = self._span
+            padded = head + ((0, 0),) * (span - len(head))
+            # a power of two scales exactly and keeps the kernels' pruning off
+            one = PureState._trusted(span, {padded: 2.0**50 + 0j}, total_photons(head))
+            images = apply_circuit(one, self.elements)._amps.items()
+            images = self._table[head] = tuple((v, c * 2.0**-50) for v, c in images)
+        return images
+
+    def apply(self, state: PureState) -> PureState:
         """``apply_circuit(state, self.elements)``, read from the table."""
-        span, table = self._span, self._table
+        span = self._span
         if span > state.modes:
             return apply_circuit(state, self.elements)  # raises the kernels' ValueError
         out: dict[FockVector, complex] = {}
         for vec, amp in state._amps.items():
-            head, tail = vec[:span], vec[span:]
-            images = table.get(head)
-            if images is None:
-                # a power of two scales exactly and keeps the kernels' pruning off
-                one = PureState._trusted(span, {head: 2.0**50 + 0j}, total_photons(head))
-                images = apply_circuit(one, self.elements)._amps.items()
-                images = table[head] = tuple((v, c * 2.0**-50) for v, c in images)
-            for new_head, coeff in images:
+            tail = vec[span:]
+            for new_head, coeff in self.image(vec[:span]):
                 new = new_head + tail
                 out[new] = out.get(new, 0j) + amp * coeff
         return PureState._trusted(state.modes, out, state.photon_cap)
+
+
+@dataclass(frozen=True)
+class RuleAction(_Circuit):
+    """A feed-forward circuit with its disposition, ``"keep"`` or ``"discard"``."""
+
+    disposition: str = "keep"
+
+    def __post_init__(self) -> None:
+        if self.disposition not in ("keep", "discard"):
+            raise ValueError(f"disposition must be keep or discard, got {self.disposition!r}")
+        super().__post_init__()
 
 
 # A feed-forward rule maps each reachable outcome label to its action.
@@ -192,14 +185,15 @@ def _read(site: tuple, state: PureState) -> list[tuple[float, PureState, Outcome
     """(weight, normalized surviving state, event) per sector.
 
     Sectors come out sorted; terms below ``PRUNE_EPS`` are dropped, and
-    sectors left empty omitted. The optics act on each occupancy once.
+    sectors left empty omitted. Every mode of a site circuit's ``image`` is
+    a detector rail, in reporting order.
     """
-    modes, optics, name, site_kind = site
+    modes, circuit, name, site_kind = site
     sectors, rest = _partition(state, tuple(modes))
-    if optics is not None:
+    if circuit is not None:
         groups, sectors = sectors, {}
         for occ, terms in groups.items():
-            for sector, coeff in _transfer(optics, occ):
+            for sector, coeff in circuit.image(occ):
                 sub = sectors.get(sector)
                 if sub is None:
                     # adding to 0j turns a -0.0 part into 0.0, as the sums in
@@ -236,14 +230,14 @@ def _decide(weight, state, record, rules: FeedForwardRule | None) -> Branch:
     if action is None:
         raise FeedForwardError(f"no feed-forward rule for outcome {key!r}")
     if action.disposition == "keep" and action.elements:
-        state = action._correct(state)
+        state = action.apply(state)
     return Branch(weight, state, record, action.disposition)
 
 
 def _readout(
     state: PureState, sites: Sequence[tuple], rules: FeedForwardRule | None = None
 ) -> Ensemble:
-    """Read each site, a (modes, optics or None, name, kind) tuple, in turn.
+    """Read each site, a (modes, circuit or None, name, kind) tuple, in turn.
 
     Each site reads the survivors of the one before, once per distinct state
     (``fock._once_per_state``, as ``Ensemble.then`` stages), with weights
@@ -314,18 +308,18 @@ def pid_split(state: PureState, mode: int) -> tuple[PureState, int]:
     A polarization rotation by π/4 followed by a PBS onto a fresh mode
     separates the rotated H and V components.  Returns the new state and the
     index of the fresh V rail (the H rail keeps the original index).
+
+    Sites read ``_PID_CIRCUIT`` instead; this form is read by
+    ``gadgets.ecc_optics``, the property tests and the ``perfbench`` tracer.
     """
-    if not 0 <= mode < state.modes:
-        raise ValueError(f"mode {mode} out of range")
     rotated = apply_pr(state, mode, math.pi / 4)
     widened = rotated.tensor(PureState.vacuum(1, photon_cap=state.photon_cap))
     fresh = widened.modes - 1
     return apply_pbs(widened, mode, fresh), fresh
 
 
-def _pid_optics(state: PureState) -> tuple[PureState, tuple[int, int]]:
-    split, fresh = pid_split(state, 0)
-    return split, (0, fresh)
+# ``pid_split`` of mode 0 as a site circuit, the fresh V rail on mode 1.
+_PID_CIRCUIT = _Circuit((pr(0, math.pi / 4), pbs(0, 1)))
 
 
 def pid(
@@ -341,4 +335,4 @@ def pid(
     measured rails disappear from the surviving states.  Corrective element
     targets refer to post-measurement mode indices.
     """
-    return _readout(state, (((mode,), _pid_optics, site, "pid"),), rules)
+    return _readout(state, (((mode,), _PID_CIRCUIT, site, "pid"),), rules)

@@ -376,9 +376,6 @@ class OutcomeEvent(NamedTuple):
     pattern: tuple[bool, ...]
     label: str
 
-    def to_json_dict(self) -> dict:
-        return {"site": self.site, "pattern": list(self.pattern), "label": self.label}
-
 
 class Branch(NamedTuple):
     """A weighted pure state, its outcome record, and the decision on it.
@@ -427,7 +424,7 @@ class Ensemble:
         ``stage`` maps a state to an ensemble (or to anything holding one as
         ``.ensemble``). Each kept parent becomes one branch per stage branch,
         with weights multiplied, records concatenated and the stage branch's
-        disposition; discarded parents pass through unchanged.
+        disposition; every parent not ``"keep"`` passes through unchanged.
 
         The stage runs once per distinct kept state (``_once_per_state``):
         a parent whose state agrees with one already staged in this call
@@ -438,7 +435,7 @@ class Ensemble:
         out: list[Branch] = []
         once = _once_per_state(stage)
         for parent in self.branches:
-            if parent.disposition == "discard":
+            if parent.disposition != "keep":
                 out.append(parent)
                 continue
             result = once(parent.state)
@@ -453,14 +450,14 @@ class Ensemble:
     def combine(self, other: "Ensemble") -> "Ensemble":
         """Branch-wise product: states tensored, weights multiplied.
 
-        A pair is discarded if either factor is.
+        A pair is kept only when both factors are ``"keep"``.
         """
         out = [
             Branch(
                 a.weight * b.weight,
                 a.state.tensor(b.state),
                 a.record + b.record,
-                "discard" if "discard" in (a.disposition, b.disposition) else "keep",
+                "keep" if a.disposition == b.disposition == "keep" else "discard",
             )
             for a in self.branches
             for b in other.branches

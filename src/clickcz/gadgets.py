@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from . import states
-from .detection import RuleAction, _readout, pid, pid_split
-from .elements import apply_bs, apply_pbs, apply_pdps, apply_pr, pdps, pr, ps
+from .detection import RuleAction, _Circuit, _readout, pid, pid_split
+from .elements import apply_pbs, apply_pdps, apply_pr, bs, pbs, pdps, pr, ps
 from .fock import Branch, Ensemble, PureState, SimulatorError
 
 PI = math.pi
@@ -86,6 +86,9 @@ def ecc_optics(
     photons pick up a π/4 phase on each output before the PID rail split.
     Returns the widened state and the four detector rails in reporting
     order (H_a, H_b, V_a, V_b).
+
+    Filter sites read ``_ECC_CIRCUIT`` instead; this form is read by tables
+    1 and 2's verification (``oracle._verify_filter_table``) and the tests.
     """
     out = apply_pr(state, mode_a, PI / 4)
     out = apply_pr(out, mode_b, PI / 4)
@@ -97,8 +100,14 @@ def ecc_optics(
     return out, (mode_a, mode_b, rail_va, rail_vb)
 
 
-def _ecc_site_optics(pair: PureState) -> tuple[PureState, tuple[int, int, int, int]]:
-    return ecc_optics(pair, 0, 1)
+# A PID on each of modes 0 and 1, onto fresh V rails 2 and 3, so a two-mode
+# site reads its rails as (H_0, H_1, V_0, V_1).
+_PID_SPLITS = (pr(0, PI / 4), pbs(0, 2), pr(1, PI / 4), pbs(1, 3))
+
+# ``ecc_optics`` on modes (0, 1) as a site circuit.
+_ECC_CIRCUIT = _Circuit(
+    (pr(0, PI / 4), pr(1, PI / 4), pbs(0, 1), pdps(0, PI / 4), pdps(1, PI / 4)) + _PID_SPLITS
+)
 
 
 ECC_RULES = {
@@ -121,7 +130,7 @@ def ecc(state: PureState, mode_a: int, mode_b: int) -> Ensemble:
     by table 3's verification (``oracle._verify_table3``), demo 04 and the
     ``perfbench`` tracer.
     """
-    return _readout(state, (((mode_a, mode_b), _ecc_site_optics, "ecc", "fusion"),), ECC_RULES)
+    return _readout(state, (((mode_a, mode_b), _ECC_CIRCUIT, "ecc", "fusion"),), ECC_RULES)
 
 
 # -- GHZ pair to the four-qubit gate ancilla ------------------------------------
@@ -160,7 +169,7 @@ def g2a(input_ensemble: Ensemble | PureState, site: str = "g2a") -> GadgetResult
         if registers.modes != 6:
             raise ValueError("ancilla conversion expects 6-mode registers")
         _require_normalized(registers, "ancilla conversion input")
-        error_filter = ((1, 4), _ecc_site_optics, f"{site}/ecc", "fusion")
+        error_filter = ((1, 4), _ECC_CIRCUIT, f"{site}/ecc", "fusion")
         return _readout(registers, (error_filter,), G2A_RULES)
 
     return GadgetResult(input_ensemble.then(convert))
@@ -175,11 +184,8 @@ A2C_RULES = {
 }
 
 
-def _a2c_optics(pair: PureState) -> tuple[PureState, tuple[int, int, int, int]]:
-    mixed = apply_bs(pair, 0, 1)
-    split, rail_vx = pid_split(mixed, 0)
-    split, rail_vy = pid_split(split, 1)
-    return split, (0, 1, rail_vx, rail_vy)
+# The 50:50 splitter on modes (0, 1), then a PID on each output.
+_A2C_CIRCUIT = _Circuit((bs(0, 1),) + _PID_SPLITS)
 
 
 def a2c(state: PureState, mode_x: int, mode_y: int) -> Ensemble:
@@ -189,7 +195,7 @@ def a2c(state: PureState, mode_x: int, mode_y: int) -> Ensemble:
     bunched and the attempt is discarded.
     """
     _require_normalized(state, "fusion input")
-    return _readout(state, (((mode_x, mode_y), _a2c_optics, "a2c", "fusion"),), A2C_RULES)
+    return _readout(state, (((mode_x, mode_y), _A2C_CIRCUIT, "a2c", "fusion"),), A2C_RULES)
 
 
 # -- controlled-phase gate -------------------------------------------------------
@@ -253,7 +259,7 @@ def cz_gate(input_state: PureState, ancilla: PureState | None = None) -> GadgetR
     # Modes are fused where the tensor product puts them, (q1, q2, a1..a4):
     # (q1, a1) first, leaving (q2, a2, a3, a4), then (a4, q2), leaving
     # (a2, a3). The two fusions are one readout, decided by outcome pair.
-    sites = (((0, 2), _a2c_optics, "a2c1", "fusion"), ((3, 0), _a2c_optics, "a2c2", "fusion"))
+    sites = (((0, 2), _A2C_CIRCUIT, "a2c1", "fusion"), ((3, 0), _A2C_CIRCUIT, "a2c2", "fusion"))
     return GadgetResult(_readout(input_state.tensor(ancilla), sites, _CZ_PAIR_RULES))
 
 

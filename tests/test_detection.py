@@ -7,16 +7,16 @@ import clickcz
 from clickcz import detection, elements, gadgets
 from clickcz.detection import (
     RuleAction,
+    _Circuit,
     _decide,
     _readout,
-    _transfer,
     apply_feed_forward,
     interpret_pattern,
     measure_nr,
     pid,
     pid_split,
 )
-from clickcz.elements import apply_circuit, apply_pr, bs, pdps, pr, ps
+from clickcz.elements import apply_circuit, apply_pr, bs, pbs, pdps, pr, ps
 from clickcz.fock import (
     DEFAULT_PHOTON_CAP,
     PRUNE_EPS,
@@ -194,54 +194,59 @@ class TestPid:
             pid(states.bell_phi_plus(), mode, NO_OP_RULES)
 
 
-# The three detector sites: (optics, number of measured modes).
-SITE_OPTICS = [
-    (detection._pid_optics, 1),
-    (gadgets._ecc_site_optics, 2),
-    (gadgets._a2c_optics, 2),
+def _module_caches() -> list:
+    """Every ``lru_cache`` in ``detection`` and ``elements``; there are some."""
+    caches = [
+        f
+        for module in (detection, elements)
+        for f in vars(module).values()
+        if hasattr(f, "cache_info")
+    ]
+    assert caches
+    return caches
+
+
+# The three detector sites: (circuit, number of measured modes).
+SITE_CIRCUITS = [
+    (detection._PID_CIRCUIT, 1),
+    (gadgets._ECC_CIRCUIT, 2),
+    (gadgets._A2C_CIRCUIT, 2),
 ]
 
 
 class TestTransferTable:
-    """The readout kernel caches each site's optics per occupancy, nothing more."""
+    """Each site circuit's own table holds one image per occupancy, nothing more."""
 
     def test_cache_is_keyed_by_occupancy(self, rng):
-        _transfer.cache_clear()
-        seen = set()
+        seen = []
+        for circuit, _k in SITE_CIRCUITS:
+            circuit._table.clear()
+            seen.append(set())
         for _ in range(100):
             # a fresh angle per state: a key on a state or an angle would grow
             psi = apply_pr(random_state(rng, 3), 0, rng.uniform(-math.pi, math.pi))
-            for optics, k in SITE_OPTICS:
+            for (circuit, k), occupancies in zip(SITE_CIRCUITS, seen):
                 modes = tuple(rng.sample(range(3), k))
-                _readout(psi, ((modes, optics, "t", "raw"),))
-                seen |= {(optics, tuple(vec[m] for m in modes)) for vec in psi._amps}
-        # at most one entry per optics and occupancy of its measured modes
-        cap = DEFAULT_PHOTON_CAP
-        bound = sum(math.comb(cap + 2 * k, 2 * k) for _optics, k in SITE_OPTICS)
-        assert _transfer.cache_info().currsize == len(seen) <= bound
+                _readout(psi, ((modes, circuit, "t", "raw"),))
+                occupancies |= {tuple(vec[m] for m in modes) for vec in psi._amps}
+        # one entry per occupancy of the measured modes, within the photon cap
+        for (circuit, k), occupancies in zip(SITE_CIRCUITS, seen):
+            assert circuit._table.keys() == occupancies
+            assert len(occupancies) <= math.comb(DEFAULT_PHOTON_CAP + 2 * k, 2 * k)
 
-    def test_warm_cache_runs_no_optics(self, monkeypatch):
-        psi = states.two_qubit(1, 1j, -1, 0.5)
-        gadgets.cz_gate(psi)
-        calls = []
+    def test_fresh_circuits_leave_no_module_cache(self, rng):
+        caches = _module_caches()
+        psi = random_state(rng, 3)
 
-        def counting(*args):
-            calls.append(args)
-            return pid_split(*args)
+        def read_through_a_fresh_circuit():
+            circuit = _Circuit((pr(0, rng.uniform(-math.pi, math.pi)), pbs(0, 1)))
+            _readout(psi, (((2,), circuit, "t", "pid"),))
 
-        monkeypatch.setattr(detection, "pid_split", counting)
-        monkeypatch.setattr(gadgets, "pid_split", counting)
-        gadgets.cz_gate(states.two_qubit(0.5, -1, 1j, 1))
-        assert calls == []
-
-
-class TestRecordSerialization:
-    def test_event_json_shape(self):
-        out = pid(states.qubit(1, 0), 0, NO_OP_RULES)
-        event = out.branches[0].record[-1]
-        data = event.to_json_dict()
-        assert set(data) == {"site", "pattern", "label"}
-        assert all(isinstance(c, bool) for c in data["pattern"])
+        read_through_a_fresh_circuit()
+        sizes = [f.cache_info().currsize for f in caches]
+        for _ in range(100):
+            read_through_a_fresh_circuit()
+        assert [f.cache_info().currsize for f in caches] == sizes
 
 
 class TestDecide:
@@ -311,7 +316,7 @@ class TestRuleAction:
 
     def test_table_is_not_compared_hashed_or_shown(self):
         used, fresh = RuleAction((pr(0, 0.3),)), RuleAction((pr(0, 0.3),))
-        used._correct(states.qubit(1, 1j))
+        used.apply(states.qubit(1, 1j))
         assert used._table and not fresh._table
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
@@ -359,7 +364,7 @@ class TestCorrectionTable:
         for _ in range(20):
             psi = random_state(rng, span + 1)
             assert_states_equal(
-                action._correct(psi), apply_circuit(psi, action.elements), tol=1e-15
+                action.apply(psi), apply_circuit(psi, action.elements), tol=1e-15
             )
         # each entry is the image of |occ⟩ on the modes up to the highest
         # target, a spectator mode after them left as it is, and keeps the
@@ -375,16 +380,10 @@ class TestCorrectionTable:
         # it, so a table that pruned its coefficients would differ by 2.8e-15
         action = RuleAction((pr(0, 2.0**-24),))
         psi = PureState(1, {((1, 1),): 0.6, ((2, 0),): 0.8})
-        assert action._correct(psi)._amps == apply_circuit(psi, action.elements)._amps
+        assert action.apply(psi)._amps == apply_circuit(psi, action.elements)._amps
 
     def test_fresh_angles_grow_no_module_cache(self, rng):
-        caches = [
-            f
-            for module in (detection, elements)
-            for f in vars(module).values()
-            if hasattr(f, "cache_info")
-        ]
-        assert caches
+        caches = _module_caches()
         psi = random_state(rng, 3)
 
         def decide_with_fresh_angles():

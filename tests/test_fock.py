@@ -312,6 +312,13 @@ class TestDispositionCarried:
         assert [b.disposition for b in out.branches] == ["keep", "discard", "discard"]
         assert out.keep_weight == pytest.approx(0.375, abs=1e-15)
 
+    def test_then_stages_only_keep_parents(self):
+        # a disposition other than "keep" is not kept, so it is not staged
+        odd = Branch(1.0, states.ghz_plus(), (_event("p"),), "kept")
+        out = Ensemble((odd,)).then(lambda state: pytest.fail("staged a parent not kept"))
+        assert out.branches == (odd,)
+        assert out.keep_weight == 0
+
     @pytest.mark.parametrize(
         "first, second, expected",
         [
@@ -319,6 +326,9 @@ class TestDispositionCarried:
             ("keep", "discard", "discard"),
             ("discard", "keep", "discard"),
             ("discard", "discard", "discard"),
+            # only "keep" is kept, so a pair of any other value is not
+            ("kept", "kept", "discard"),
+            ("keep", "kept", "discard"),
         ],
     )
     def test_combine_discards_a_pair_if_either_factor_is(self, first, second, expected):

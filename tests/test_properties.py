@@ -288,12 +288,13 @@ def _a2c_reference(state, modes, site, kind):
     return measure_nr(split, (mode_x, mode_y, rail_vx, rail_vy), site, kind)
 
 
-# Each site's optics, its site kind, its number of measured modes, and the
-# optics run on the whole state followed by ``measure_nr``.
+# Each site's circuit, its site kind, its number of measured modes, and the
+# site's optics written independently as element calls on the whole state
+# (``pid_split``, ``ecc_optics``) followed by ``measure_nr``.
 READOUT_SITES = {
-    "pid": (detection._pid_optics, "pid", 1, _pid_reference),
-    "ecc": (gadgets._ecc_site_optics, "fusion", 2, _ecc_reference),
-    "a2c": (gadgets._a2c_optics, "fusion", 2, _a2c_reference),
+    "pid": (detection._PID_CIRCUIT, "pid", 1, _pid_reference),
+    "ecc": (gadgets._ECC_CIRCUIT, "fusion", 2, _ecc_reference),
+    "a2c": (gadgets._A2C_CIRCUIT, "fusion", 2, _a2c_reference),
 }
 
 readout_occupancies = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
@@ -316,7 +317,7 @@ def readout_states(draw):
 @given(data=st.data(), psi=readout_states())
 @settings(max_examples=100, deadline=None)
 def test_readout_matches_optics_then_measurement(name, data, psi):
-    optics, site_kind, k, reference = READOUT_SITES[name]
+    circuit, site_kind, k, reference = READOUT_SITES[name]
     modes = tuple(data.draw(st.permutations(range(psi.modes)))[:k])
     # raw labels never raise, so every draw of those compares branches
     kind = data.draw(st.sampled_from([site_kind, "raw"]))
@@ -325,9 +326,9 @@ def test_readout_matches_optics_then_measurement(name, data, psi):
     except ConsistencyError:  # three or more clicks at a fusion site
         event("inconsistent")
         with pytest.raises(ConsistencyError):
-            _readout(psi, ((modes, optics, "s", kind),))
+            _readout(psi, ((modes, circuit, "s", kind),))
         return
-    got = _readout(psi, ((modes, optics, "s", kind),)).branches
+    got = _readout(psi, ((modes, circuit, "s", kind),)).branches
     # same sectors in the same order: records, supports and amplitudes agree
     assert [b.record for b in got] == [b.record for b in expected]
     for mine, ref in zip(got, expected):
@@ -394,11 +395,11 @@ def test_deciding_readout_matches_composition(first, data, psi):
     names = [first, second][: data.draw(st.integers(1, 2))]
     sites, left = [], psi.modes
     for i, name in enumerate(names):
-        optics, site_kind, k, _reference = READOUT_SITES[name]
+        circuit, site_kind, k, _reference = READOUT_SITES[name]
         if k > left:
             break
         modes = tuple(data.draw(st.permutations(range(left)))[:k])
-        sites.append((modes, optics, f"s{i}", data.draw(st.sampled_from([site_kind, "raw"]))))
+        sites.append((modes, circuit, f"s{i}", data.draw(st.sampled_from([site_kind, "raw"]))))
         left -= k
     event(f"{len(sites)} sites")
     try:
