@@ -25,7 +25,6 @@ from .fock import (
     OutcomeEvent,
     PRUNE_EPS,
     PureState,
-    _once_per_state,
     total_photons,
 )
 
@@ -181,7 +180,7 @@ class RuleAction(_Circuit):
 FeedForwardRule = Mapping[str, RuleAction]
 
 
-def _read(site: tuple, state: PureState) -> list[tuple[float, PureState, OutcomeEvent]]:
+def _read(state: PureState, site: tuple) -> list[tuple[float, PureState, OutcomeEvent]]:
     """(weight, normalized surviving state, event) per sector.
 
     Sectors come out sorted; terms below ``PRUNE_EPS`` are dropped, and
@@ -239,16 +238,16 @@ def _readout(
 ) -> Ensemble:
     """Read each site, a (modes, circuit or None, name, kind) tuple, in turn.
 
-    Each site reads the survivors of the one before, once per distinct state
-    (``fock._once_per_state``, as ``Ensemble.then`` stages), with weights
-    multiplied: the sites chained by ``then``, then ``apply_feed_forward``,
-    but every branch built once.
+    Each site reads every survivor of the one before, with weights
+    multiplied, and the rules decide each branch once at the end: the sites
+    read one by one, then ``apply_feed_forward``, but every branch built once.
     """
     level: list[tuple[float, PureState, tuple[OutcomeEvent, ...]]] = [(1.0, state, ())]
     for site in sites:
-        read = _once_per_state(functools.partial(_read, site))
         level = [
-            (w * sw, post, rs + (e,)) for w, parent, rs in level for sw, post, e in read(parent)
+            (w * sw, post, rs + (e,))
+            for w, parent, rs in level
+            for sw, post, e in _read(parent, site)
         ]
     return Ensemble(tuple([_decide(w, post, rs, rules) for w, post, rs in level]))
 

@@ -6,10 +6,10 @@ results are collected into weighted ensembles of renormalized pure states.
 All values are immutable: every operation returns a new object.
 
 The public ``PureState`` constructor is the validating boundary: it checks
-every term's mode count, photon count and amplitude. Results of operations
-that cannot change either count (tensor products within the cap, mode
-permutations, scaling, element kernels, measurement) are built through the
-trusted ``PureState._trusted`` path, which only prunes negligible terms.
+every term's mode count, occupancies, photon count and amplitude. Results of
+operations that cannot change the counts (tensor products within the cap,
+mode permutations, scaling, element kernels, measurement) are built through
+the trusted ``PureState._trusted`` path, which only prunes negligible terms.
 """
 
 from __future__ import annotations
@@ -75,8 +75,20 @@ def _json_number(value: object, what: str) -> float:
 def as_fock_vector(modes: Iterable[Sequence[int]]) -> FockVector:
     """Coerce nested sequences into a canonical basis-vector tuple.
 
-    Every mode must be an ``(n_h, n_v)`` pair of non-negative integers.
+    Every mode must be an ``(n_h, n_v)`` pair of non-negative integers: a
+    float or boolean count raises ``TypeError``, anything else ``ValueError``.
+    A tuple of pairs of plain ``int``s is already canonical and comes back
+    as it is.
     """
+    if type(modes) is tuple:
+        for m in modes:
+            if type(m) is not tuple or len(m) != 2:
+                break
+            n_h, n_v = m
+            if type(n_h) is not int or type(n_v) is not int or n_h < 0 or n_v < 0:
+                break
+        else:
+            return modes
     vec = []
     for m in modes:
         if len(m) != 2:
@@ -103,9 +115,10 @@ class PureState:
     The constructor validates its input: ``modes`` and ``photon_cap`` must be
     non-negative integers (``TypeError`` for a float, string or boolean,
     ``ValueError`` below zero), every basis vector must have
-    ``modes`` entries and at most ``photon_cap`` photons, and every amplitude
-    must be finite. Library operations whose results satisfy both by
-    construction skip these checks through ``_trusted``.
+    ``modes`` entries, each an ``(n_h, n_v)`` pair of non-negative integers
+    (checked by ``as_fock_vector``), and at most ``photon_cap`` photons, and
+    every amplitude must be finite. Library operations whose results satisfy
+    these by construction skip the checks through ``_trusted``.
     """
 
     __slots__ = ("modes", "photon_cap", "_amps")
@@ -127,6 +140,7 @@ class PureState:
                 raise ModeMismatchError(
                     f"basis vector {vec} has {len(vec)} modes, state has {self.modes}"
                 )
+            vec = as_fock_vector(vec)
             if not cmath.isfinite(amp):
                 raise ValueError(f"non-finite amplitude {amp} at {vec}")
             if abs(amp) < PRUNE_EPS:
@@ -166,19 +180,6 @@ class PureState:
     @staticmethod
     def vacuum(modes: int, *, photon_cap: int = DEFAULT_PHOTON_CAP) -> "PureState":
         return PureState(modes, {(VACUUM_MODE,) * modes: 1.0}, photon_cap=photon_cap)
-
-    @staticmethod
-    def from_terms(
-        terms: Mapping[Sequence[Sequence[int]], complex],
-        *,
-        photon_cap: int = DEFAULT_PHOTON_CAP,
-    ) -> "PureState":
-        """Build a state from occupancy sequences, inferring the mode count."""
-        items = {as_fock_vector(vec): amp for vec, amp in terms.items()}
-        if not items:
-            raise ValueError("cannot infer mode count from an empty term map")
-        modes = len(next(iter(items)))
-        return PureState(modes, items, photon_cap=photon_cap)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -274,7 +275,7 @@ class PureState:
         }
 
     @staticmethod
-    def from_json_dict(data: Mapping, *, photon_cap: int = DEFAULT_PHOTON_CAP) -> "PureState":
+    def from_json_dict(data: Mapping) -> "PureState":
         """Load the ``to_json_dict`` form, rejecting anything it cannot write.
 
         ``modes`` is an integer, every ``occ`` a list of integer pairs, and
@@ -295,7 +296,7 @@ class PureState:
             norm2 = math.inf
         if not math.isfinite(norm2):
             raise ValueError("the norm² of the state overflows")
-        return PureState(modes, amps, photon_cap=photon_cap)
+        return PureState(modes, amps)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -421,10 +422,10 @@ class Ensemble:
     def then(self, stage: Callable[[PureState], "Ensemble"]) -> "Ensemble":
         """Chain a heralded stage onto every kept branch.
 
-        ``stage`` maps a state to an ensemble (or to anything holding one as
-        ``.ensemble``). Each kept parent becomes one branch per stage branch,
-        with weights multiplied, records concatenated and the stage branch's
-        disposition; every parent not ``"keep"`` passes through unchanged.
+        ``stage`` maps a state to an ensemble. Each kept parent becomes one
+        branch per stage branch, with weights multiplied, records concatenated
+        and the stage branch's disposition; every parent not ``"keep"`` passes
+        through unchanged.
 
         The stage runs once per distinct kept state (``_once_per_state``):
         a parent whose state agrees with one already staged in this call
@@ -438,12 +439,10 @@ class Ensemble:
             if parent.disposition != "keep":
                 out.append(parent)
                 continue
-            result = once(parent.state)
-            sub = getattr(result, "ensemble", result)
             weight, record = parent.weight, parent.record
             out += [
                 Branch(weight * b.weight, b.state, record + b.record, b.disposition)
-                for b in sub.branches
+                for b in once(parent.state).branches
             ]
         return Ensemble(tuple(out))
 

@@ -153,7 +153,7 @@ G2A_RULES = {
 }
 
 
-def g2a(input_ensemble: Ensemble | PureState, site: str = "g2a") -> GadgetResult:
+def g2a(input_ensemble: Ensemble | PureState) -> GadgetResult:
     """Convert two partial-GHZ registers (6 modes) into the gate ancilla.
 
     The second mode of each register runs through the error filter, read
@@ -169,7 +169,7 @@ def g2a(input_ensemble: Ensemble | PureState, site: str = "g2a") -> GadgetResult
         if registers.modes != 6:
             raise ValueError("ancilla conversion expects 6-mode registers")
         _require_normalized(registers, "ancilla conversion input")
-        error_filter = ((1, 4), _ECC_CIRCUIT, f"{site}/ecc", "fusion")
+        error_filter = ((1, 4), _ECC_CIRCUIT, "g2a/ecc", "fusion")
         return _readout(registers, (error_filter,), G2A_RULES)
 
     return GadgetResult(input_ensemble.then(convert))
@@ -295,5 +295,5 @@ def cz_full_pipeline(input_state: PureState) -> PipelineResult:
     )
     registers = first.combine(second)
     converted = g2a(registers).ensemble
-    gated = converted.then(lambda ancilla: cz_gate(input_state, ancilla=ancilla))
+    gated = converted.then(lambda ancilla: cz_gate(input_state, ancilla=ancilla).ensemble)
     return PipelineResult(gated, ancilla_probability=converted.keep_weight)

@@ -205,7 +205,6 @@ class RowReport:
     key: str
     matched: bool
     max_deviation: float
-    phase: complex
 
 
 @dataclass(frozen=True)
@@ -240,19 +239,14 @@ def match_up_to_phase(
     return deviation <= tol, deviation, phase
 
 
-def _two_mode_input(key: str) -> PureState:
-    occ = {"H": (1, 0), "V": (0, 1), "0": (0, 0)}
-    return PureState(2, {(occ[key[0]], occ[key[1]]): 1.0})
-
-
 def _verify_filter_table(table_id: int, goldens: Mapping[str, Mapping]) -> TableReport:
     """Tables 1 and 2: the error filter's pre-detection output per input key."""
     rows = []
     for key, golden in goldens.items():
-        pre, rail_order = ecc_optics(_two_mode_input(key), 0, 1)
+        pre, rail_order = ecc_optics(PureState(2, {states._ket(key): 1.0}), 0, 1)
         assert rail_order == (0, 1, 2, 3)
-        ok, dev, phase = match_up_to_phase(pre, golden)
-        rows.append(RowReport(key, ok, dev, phase))
+        ok, dev, _ = match_up_to_phase(pre, golden)
+        rows.append(RowReport(key, ok, dev))
     return TableReport(table_id, tuple(rows))
 
 
@@ -263,9 +257,9 @@ def _verify_table3() -> TableReport:
     for branch in ensemble.kept():
         label = branch.record[-1].label
         golden = tables.TABLE3["5,6" if label in ("5", "6") else "3,4"]
-        ok, dev, phase = match_up_to_phase(branch.state, golden)
+        ok, dev, _ = match_up_to_phase(branch.state, golden)
         weight_ok = abs(branch.weight - 0.125) <= PHASE_TOL
-        rows.append(RowReport(label, ok and weight_ok, dev, phase))
+        rows.append(RowReport(label, ok and weight_ok, dev))
     rows.sort(key=lambda r: r.key)
     return TableReport(3, tuple(rows))
 
@@ -292,10 +286,7 @@ def _verify_table4() -> TableReport:
         for label in tables.TABLE4_LABELS:
             if label not in seen:
                 per_label[label] = (False, float("inf"))
-    rows = tuple(
-        RowReport(label, ok, dev, 1.0 + 0j)
-        for label, (ok, dev) in sorted(per_label.items())
-    )
+    rows = tuple(RowReport(label, ok, dev) for label, (ok, dev) in sorted(per_label.items()))
     return TableReport(4, rows)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,29 @@ class TestRunCircuit:
     def test_missing_arguments(self):
         with pytest.raises(ConfigError):
             run(ExperimentConfig(experiment="run-circuit"))
+
+    def test_missing_circuit_exit_code(self, tmp_path, capsys):
+        state_path = tmp_path / "in.json"
+        state_path.write_text(states.qubit(1, 0).to_json())
+        code = main(["--experiment", "run-circuit", "--input", str(state_path)])
+        assert code == 2
+        assert "run-circuit requires --circuit" in capsys.readouterr().err
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"experiment": "teleport"}, "unknown experiment 'teleport'"),
+            ({"mode": "bogus"}, "mode must be 'enumerate' or 'sample'"),
+            ({"fmt": "xml"}, "format must be 'json' or 'csv'"),
+            ({"mode": "sample", "samples": 0, "seed": 1}, "requires --samples >= 1"),
+        ],
+        ids=["experiment", "mode", "format", "zero-samples"],
+    )
+    def test_bad_value_raises(self, overrides, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig(**{"experiment": "cz", **overrides}).validate()
 
 
 class TestSampling:
@@ -372,15 +396,17 @@ class TestMainEntry:
         missing = tmp_path / "missing.json"
         assert main(["--experiment", "cz", "--input", str(missing)]) == 4
 
+    def test_out_directory_exit_code(self, tmp_path, capsys):
+        assert main(["--experiment", "b2g", "--out", str(tmp_path)]) == 4
+        assert "I/O error" in capsys.readouterr().err
+
     def test_verify_exit_code(self):
         assert main(["--experiment", "verify", "--out", "/dev/null"]) == 0
 
     def test_verify_mismatch_exit_code(self, monkeypatch):
         from clickcz import oracle
 
-        broken = oracle.TableReport(
-            1, (oracle.RowReport("0H", False, 1.0, 1.0 + 0j),)
-        )
+        broken = oracle.TableReport(1, (oracle.RowReport("0H", False, 1.0),))
         monkeypatch.setattr(oracle, "verify_all_tables", lambda: [broken])
         assert main(["--experiment", "verify", "--out", "/dev/null"]) == 3
 
@@ -528,8 +554,9 @@ class TestInputBoundary:
             ({"occ": [[1, 0], [1, 0]], "re": "1"}, "re must be a number"),
             ({"occ": [[1, 0], [1, 0]], "re": True}, "re must be a number"),
             ({"occ": [[1, 0], [1, 0]], "re": 1e200}, "norm² of the state overflows"),
+            ({"occ": [[1, 0], [1, 0]], "re": 10**400}, "re must be finite"),
         ],
-        ids=["ragged", "float", "triple", "string", "bool", "overflow"],
+        ids=["ragged", "float", "triple", "string", "bool", "overflow", "huge-integer"],
     )
     def test_malformed_term(self, tmp_path, capsys, term, message):
         code, err = self._cz(tmp_path, [term], capsys)
@@ -582,6 +609,16 @@ class TestInputBoundary:
         code = main(["--experiment", "cz", "--input", str(path), "--out", "/dev/null"])
         assert code == 2
         assert "malformed input state" in capsys.readouterr().err
+
+    def test_circuit_must_be_an_array(self, tmp_path, capsys):
+        state_path = tmp_path / "in.json"
+        state_path.write_text(states.qubit(1, 0).to_json())
+        circuit_path = tmp_path / "circuit.json"
+        circuit_path.write_text(json.dumps({"kind": "PR", "targets": [1], "theta": 0.3}))
+        argv = ["--experiment", "run-circuit", "--input", str(state_path)]
+        code = main(argv + ["--circuit", str(circuit_path), "--out", "/dev/null"])
+        assert code == 2
+        assert "must be a JSON array" in capsys.readouterr().err
 
     def test_deeply_nested_circuit(self, tmp_path, capsys):
         state_path = tmp_path / "in.json"

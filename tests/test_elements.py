@@ -156,6 +156,11 @@ class TestDispatch:
         out = apply_element(PureState(1, {(V,): 1.0}), pdps(0, math.pi))
         assert out.amplitude((V,)) == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("kernel, kind", [(apply_pbs, "PBS"), (apply_bs, "BS")])
+    def test_same_mode_twice_raises(self, kernel, kind):
+        with pytest.raises(ValueError, match=f"{kind} needs two distinct modes"):
+            kernel(PureState(2, {(H, V): 1.0}), 1, 1)
+
 
 class TestDescriptors:
     def test_arity_validation(self):

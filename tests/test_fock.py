@@ -297,7 +297,7 @@ class TestThen:
         registers = b2g(pair, site="b2g1").ensemble.combine(
             b2g(pair, site="b2g2").ensemble
         )
-        out = registers.then(g2a)
+        out = registers.then(lambda s: g2a(s).ensemble)
         assert out.total_weight == pytest.approx(1.0, abs=1e-12)
         assert out.keep_weight == pytest.approx(0.125, abs=1e-12)
 
@@ -437,8 +437,22 @@ class TestHygiene:
             PureState(2, {(H,): 1.0})
 
     def test_negative_occupancy_rejected(self):
-        with pytest.raises(ValueError):
-            PureState.from_terms({((-1, 0),): 1.0})
+        with pytest.raises(ValueError, match="negative occupancy"):
+            PureState(1, {((-1, 0),): 1.0})
+
+    @pytest.mark.parametrize(
+        "occupancy, error",
+        [((1, 0, 0), ValueError), ((1.5, 0), TypeError), ((True, 0), TypeError)],
+        ids=["triple", "float", "boolean"],
+    )
+    def test_malformed_occupancy_rejected(self, occupancy, error):
+        with pytest.raises(error):
+            PureState(1, {(occupancy,): 1.0})
+
+    def test_integer_like_occupancy_accepted(self):
+        psi = PureState(1, {((np.int64(1), np.int8(0)),): 1.0})
+        ((vec, _),) = psi.items()
+        assert vec == (H,) and type(vec[0][0]) is int
 
     def test_normalized(self):
         psi = PureState(1, {(H,): 2.0}).normalized()

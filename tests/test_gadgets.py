@@ -154,6 +154,10 @@ class TestG2A:
         result = g2a(states.ghz_plus().tensor(states.ghz_plus()))
         assert result.ensemble.total_weight == pytest.approx(1.0, abs=TOL)
 
+    def test_four_mode_input_raises(self):
+        with pytest.raises(ValueError, match="6-mode registers"):
+            g2a(double_bell())
+
 
 class TestA2C:
     def test_parallel_input_outcomes(self):
@@ -297,7 +301,7 @@ class TestPipelineReuse:
         )
         # reference: the gate run by hand on every kept ancilla
         expected = []
-        for parent in g2a(registers, site="g2a").ensemble.branches:
+        for parent in g2a(registers).ensemble.branches:
             if parent.disposition == "discard":
                 expected.append(parent)
                 continue
@@ -404,41 +408,35 @@ class TestReadoutInPlace:
 
 
 class TestOneStagingHelper:
-    """The gate's readout and the pipeline's ``then`` both stage through
-    ``fock._once_per_state``."""
+    """``Ensemble.then`` stages through ``fock._once_per_state``; the gate's
+    readout reads every survivor of its first fusion directly."""
 
-    @staticmethod
-    def _reads(monkeypatch, module) -> list:
-        """Wrap the helper as ``module`` names it; return the states it reads."""
-        reads = []
-        helper = module._once_per_state
+    def test_gate_readout_and_pipeline_then(self, monkeypatch):
+        reads = _counting(monkeypatch, detection, "_read")
+        staged = []
+        helper = fock._once_per_state
 
         def counting(stage):
             once = helper(stage)
 
-            def read(state):
-                reads.append(state)
+            def stage_once(state):
+                staged.append(state)
                 return once(state)
 
-            return read
+            return stage_once
 
-        monkeypatch.setattr(module, "_once_per_state", counting)
-        return reads
-
-    def test_gate_readout_and_pipeline_then(self, monkeypatch):
-        by_readout = self._reads(monkeypatch, detection)
-        by_then = self._reads(monkeypatch, fock)
+        monkeypatch.setattr(fock, "_once_per_state", counting)
         psi = states.two_qubit(1, 1j, -1, 0.5)
         cz_gate(psi)
         # the first fusion reads the input once, the second each of its 8 survivors
-        assert len(by_readout) == 1 + 8
-        assert by_then == []
-        by_readout.clear()
+        assert len(reads) == 1 + 8
+        assert staged == []
+        reads.clear()
         cz_full_pipeline(psi)
         # one B2G readout, one filter per distinct register state, one gate
-        assert len(by_readout) == 1 + 4 + 9
+        assert len(reads) == 1 + 4 + 9
         # g2a stages the 16 kept register pairs, the gate the 16 kept ancillas
-        assert len(by_then) == 16 + 16
+        assert len(staged) == 16 + 16
 
 
 class TestReadoutModes:

@@ -365,10 +365,16 @@ def rule_actions(draw, modes):
 
 
 def _chained(psi, sites):
-    """Each site read by its own ``_readout``, chained with ``Ensemble.then``."""
+    """Each site read by its own ``_readout`` on every survivor of the one before."""
     ensemble = _readout(psi, sites[:1])
     for site in sites[1:]:
-        ensemble = ensemble.then(lambda state, site=site: _readout(state, (site,)))
+        ensemble = Ensemble(
+            tuple(
+                Branch(parent.weight * b.weight, b.state, parent.record + b.record)
+                for parent in ensemble.branches
+                for b in _readout(parent.state, (site,)).branches
+            )
+        )
     return ensemble
 
 
