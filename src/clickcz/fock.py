@@ -19,7 +19,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 DEFAULT_PHOTON_CAP = 8
 PRUNE_EPS = 1e-14
@@ -77,18 +77,7 @@ def as_fock_vector(modes: Iterable[Sequence[int]]) -> FockVector:
 
     Every mode must be an ``(n_h, n_v)`` pair of non-negative integers: a
     float or boolean count raises ``TypeError``, anything else ``ValueError``.
-    A tuple of pairs of plain ``int``s is already canonical and comes back
-    as it is.
     """
-    if type(modes) is tuple:
-        for m in modes:
-            if type(m) is not tuple or len(m) != 2:
-                break
-            n_h, n_v = m
-            if type(n_h) is not int or type(n_v) is not int or n_h < 0 or n_v < 0:
-                break
-        else:
-            return modes
     vec = []
     for m in modes:
         if len(m) != 2:
@@ -343,10 +332,7 @@ def _agree(a: PureState, b: PureState) -> bool:
     return True
 
 
-_Staged = TypeVar("_Staged")
-
-
-def _once_per_state(stage: Callable[[PureState], _Staged]) -> Callable[[PureState], _Staged]:
+def _once_per_state(stage: Callable[[PureState], Ensemble]) -> Callable[[PureState], Ensemble]:
     """``stage`` wrapped to run once per distinct state.
 
     A state that agrees (``_agree``) with one already staged through this
@@ -354,9 +340,9 @@ def _once_per_state(stage: Callable[[PureState], _Staged]) -> Callable[[PureStat
     therefore be a pure function of its input. The wrapper keeps its states
     for as long as it lives, so make one per chain step.
     """
-    staged: list[tuple[PureState, _Staged]] = []
+    staged: list[tuple[PureState, Ensemble]] = []
 
-    def once(state: PureState) -> _Staged:
+    def once(state: PureState) -> Ensemble:
         for seen, result in staged:
             if _agree(seen, state):
                 return result

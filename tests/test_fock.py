@@ -351,13 +351,13 @@ class TestOncePerState:
     """``_once_per_state`` runs a stage once per distinct state."""
 
     @staticmethod
-    def _once() -> tuple[Callable[[PureState], object], list[PureState]]:
-        """A wrapped stage that returns a fresh object, and the log of its runs."""
+    def _once() -> tuple[Callable[[PureState], Ensemble], list[PureState]]:
+        """A wrapped stage that returns a fresh ensemble, and the log of its runs."""
         calls: list[PureState] = []
 
-        def stage(state: PureState) -> object:
+        def stage(state: PureState) -> Ensemble:
             calls.append(state)
-            return object()
+            return Ensemble.pure(state)
 
         return _once_per_state(stage), calls
 
