@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .elements import ElementDescriptor, apply_circuit, apply_pbs, apply_pr, pbs, pr
 from .fock import (
@@ -83,29 +83,6 @@ def _picker(indices: Sequence[int]) -> Callable[[FockVector], tuple]:
     return lambda vec: tuple([vec[i] for i in indices])
 
 
-def _partition(
-    state: PureState, modes: tuple[int, ...]
-) -> tuple[dict[FockVector, dict[FockVector, complex]], int]:
-    """Group the terms by the occupancy of ``modes``: occupancy → rest → amplitude.
-
-    The rest is the term with the measured modes removed. Also returns the
-    number of modes left. A mode out of range or repeated raises
-    ``ValueError`` before any term is read.
-    """
-    measured = set(modes)
-    if len(measured) != len(modes):
-        raise ValueError("measured modes must be distinct")
-    for m in modes:
-        if not 0 <= m < state.modes:
-            raise ValueError(f"mode {m} out of range")
-    rest = [i for i in range(state.modes) if i not in measured]
-    occ_of, rest_of = _picker(modes), _picker(rest)
-    groups: dict[FockVector, dict[FockVector, complex]] = {}
-    for vec, amp in state._amps.items():
-        groups.setdefault(occ_of(vec), {})[rest_of(vec)] = amp
-    return groups, len(rest)
-
-
 @functools.lru_cache(maxsize=None)
 def _reading(sector: FockVector, site_kind: str) -> tuple[ClickPattern, str]:
     """Click pattern and outcome label of one photon-number sector.
@@ -156,6 +133,12 @@ class _Circuit:
         if span > state.modes:
             return apply_circuit(state, self.elements)  # raises the kernels' ValueError
         out: dict[FockVector, complex] = {}
+        if span == state.modes:
+            # the whole state is the head: no split, no tail to join
+            for vec, amp in state._amps.items():
+                for new, coeff in self.image(vec):
+                    out[new] = out.get(new, 0j) + amp * coeff
+            return PureState._trusted(state.modes, out, state.photon_cap)
         for vec, amp in state._amps.items():
             tail = vec[span:]
             for new_head, coeff in self.image(vec[:span]):
@@ -180,15 +163,51 @@ class RuleAction(_Circuit):
 FeedForwardRule = Mapping[str, RuleAction]
 
 
-def _read(state: PureState, site: tuple) -> list[tuple[float, PureState, OutcomeEvent]]:
+class _Site(NamedTuple):
+    """A site resolved against the width of the level it reads.
+
+    The pickers split a term into the measured occupancy and the rest;
+    ``events`` maps each sector met to its ``OutcomeEvent``, built once.
+    """
+
+    occ_of: Callable[[FockVector], tuple]
+    rest_of: Callable[[FockVector], tuple]
+    rest: int
+    circuit: _Circuit | None
+    name: str
+    site_kind: str
+    events: dict[FockVector, OutcomeEvent]
+
+
+def _resolve(site: tuple, width: int) -> _Site:
+    """Check a (modes, circuit or None, name, kind) site against ``width`` modes.
+
+    A mode out of range or repeated raises ``ValueError`` before any term
+    is read.
+    """
+    modes, circuit, name, site_kind = site
+    modes = tuple(modes)
+    measured = set(modes)
+    if len(measured) != len(modes):
+        raise ValueError("measured modes must be distinct")
+    for m in modes:
+        if not 0 <= m < width:
+            raise ValueError(f"mode {m} out of range")
+    rest = [i for i in range(width) if i not in measured]
+    return _Site(_picker(modes), _picker(rest), len(rest), circuit, name, site_kind, {})
+
+
+def _read(state: PureState, site: _Site) -> list[tuple[float, PureState, OutcomeEvent]]:
     """(weight, normalized surviving state, event) per sector.
 
     Sectors come out sorted; terms below ``PRUNE_EPS`` are dropped, and
     sectors left empty omitted. Every mode of a site circuit's ``image`` is
     a detector rail, in reporting order.
     """
-    modes, circuit, name, site_kind = site
-    sectors, rest = _partition(state, tuple(modes))
+    occ_of, rest_of, rest, circuit, name, site_kind, events = site
+    sectors: dict[FockVector, dict[FockVector, complex]] = {}
+    for vec, amp in state._amps.items():
+        sectors.setdefault(occ_of(vec), {})[rest_of(vec)] = amp
     if circuit is not None:
         groups, sectors = sectors, {}
         for occ, terms in groups.items():
@@ -202,21 +221,32 @@ def _read(state: PureState, site: tuple) -> list[tuple[float, PureState, Outcome
                 for vec, amp in terms.items():
                     sub[vec] = sub.get(vec, 0j) + amp * coeff
     out = []
+    cap = state.photon_cap
     for sector in sorted(sectors):
         sub = sectors[sector]
-        if min(map(abs, sub.values())) < PRUNE_EPS:
-            sub = {v: a for v, a in sub.items() if abs(a) >= PRUNE_EPS}
+        mags = list(map(abs, sub.values()))
+        if min(mags) < PRUNE_EPS:
+            sub = {v: a for (v, a), m in zip(sub.items(), mags) if m >= PRUNE_EPS}
             if not sub:
                 continue
-        weight = sum([abs(a) ** 2 for a in sub.values()])
+            mags = [m for m in mags if m >= PRUNE_EPS]
+        weight = sum([m**2 for m in mags])
         scale = 1.0 / math.sqrt(weight)
-        post = PureState._trusted(rest, {v: a * scale for v, a in sub.items()}, state.photon_cap)
-        out.append((weight, post, OutcomeEvent(name, *_reading(sector, site_kind))))
+        amps = {v: a * scale for v, a in sub.items()}
+        # scaling up keeps every term at or above PRUNE_EPS: nothing to prune
+        if scale >= 1.0:
+            post = PureState._unpruned(rest, amps, cap)
+        else:
+            post = PureState._trusted(rest, amps, cap)
+        event = events.get(sector)
+        if event is None:
+            event = events[sector] = OutcomeEvent(name, *_reading(sector, site_kind))
+        out.append((weight, post, event))
     return out
 
 
-def _decide(weight, state, record, rules: FeedForwardRule | None) -> Branch:
-    """Build one branch, decided by the rule of its labels joined (``"13"``).
+def _decide(weight, state, record, rules: FeedForwardRule | None, key: str) -> Branch:
+    """Build one branch, decided by the rule of ``key``, its labels joined (``"13"``).
 
     The action's disposition goes on the branch, and a kept state gets the
     action's correction. An outcome with no rule is a hard error, not a
@@ -224,7 +254,6 @@ def _decide(weight, state, record, rules: FeedForwardRule | None) -> Branch:
     """
     if rules is None:
         return Branch(weight, state, record)
-    key = "".join([e.label for e in record])
     action = rules.get(key)
     if action is None:
         raise FeedForwardError(f"no feed-forward rule for outcome {key!r}")
@@ -238,18 +267,22 @@ def _readout(
 ) -> Ensemble:
     """Read each site, a (modes, circuit or None, name, kind) tuple, in turn.
 
-    Each site reads every survivor of the one before, with weights
-    multiplied, and the rules decide each branch once at the end: the sites
-    read one by one, then ``apply_feed_forward``, but every branch built once.
+    Each site is resolved once and reads every survivor of the one before,
+    with weights multiplied and labels joined into the rule key; the rules
+    decide each branch once, after every site is read: the sites read one
+    by one, then ``apply_feed_forward``, but every branch built once.
     """
-    level: list[tuple[float, PureState, tuple[OutcomeEvent, ...]]] = [(1.0, state, ())]
+    level: list[tuple[float, PureState, tuple[OutcomeEvent, ...], str]] = [(1.0, state, (), "")]
+    width = state.modes
     for site in sites:
+        site = _resolve(site, width)
+        width = site.rest
         level = [
-            (w * sw, post, rs + (e,))
-            for w, parent, rs in level
+            (w * sw, post, rs + (e,), key + e.label)
+            for w, parent, rs, key in level
             for sw, post, e in _read(parent, site)
         ]
-    return Ensemble(tuple([_decide(w, post, rs, rules) for w, post, rs in level]))
+    return Ensemble(tuple([_decide(w, post, rs, rules, key) for w, post, rs, key in level]))
 
 
 def measure_nr(
@@ -296,9 +329,11 @@ def apply_feed_forward(ensemble: Ensemble, rules: FeedForwardRule) -> Ensemble:
     record. No library path calls it; its readers are the tests and the
     ``perfbench/tracing.py`` boundaries.
     """
-    return Ensemble(
-        tuple([_decide(b.weight, b.state, b.record, rules) for b in ensemble.branches])
-    )
+    decided = [
+        _decide(b.weight, b.state, b.record, rules, "".join([e.label for e in b.record]))
+        for b in ensemble.branches
+    ]
+    return Ensemble(tuple(decided))
 
 
 def pid_split(state: PureState, mode: int) -> tuple[PureState, int]:

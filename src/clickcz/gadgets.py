@@ -242,6 +242,10 @@ _CZ_PAIR_RULES = {
 }
 
 
+# The default ancilla; states are immutable, so one copy serves every call.
+_T1_PRIME = states.t1_prime()
+
+
 def cz_gate(input_state: PureState, ancilla: PureState | None = None) -> GadgetResult:
     """Controlled-phase gate on a two-mode dual-rail input.
 
@@ -250,7 +254,7 @@ def cz_gate(input_state: PureState, ancilla: PureState | None = None) -> GadgetR
     """
     _require_two_qubits(input_state)
     if ancilla is None:
-        ancilla = states.t1_prime()
+        ancilla = _T1_PRIME
     if ancilla.modes != 4:
         raise ValueError("ancilla must be a 4-mode state")
     _require_normalized(input_state, "controlled-phase input")

@@ -259,17 +259,33 @@ class TestDecide:
 
     def test_no_rules_keeps_the_branch_as_read(self):
         psi = states.qubit(1, 0)
-        assert _decide(0.5, psi, self.RECORD, None) == Branch(0.5, psi, self.RECORD, "keep")
+        assert _decide(0.5, psi, self.RECORD, None, "25") == Branch(0.5, psi, self.RECORD, "keep")
 
     @pytest.mark.parametrize("disposition", ["keep", "discard"])
     def test_rule_sets_the_disposition(self, disposition):
         psi = states.qubit(1, 0)
         rules = {"25": RuleAction(elements=(pdps(0, math.pi),), disposition=disposition)}
-        branch = _decide(0.5, psi, self.RECORD, rules)
+        branch = _decide(0.5, psi, self.RECORD, rules, "25")
         assert branch.disposition == disposition
         assert branch.record is self.RECORD
         # only a kept branch is corrected
         assert (branch.state is psi) == (disposition == "discard")
+
+    def test_every_site_is_read_before_any_branch_is_decided(self):
+        # the first site's survivors are read in sector order: one photon in
+        # each fused mode (two clicks), then two photons and one (three)
+        psi = PureState(3, {(V, H, V): 0.6, (H, (2, 0), H): 0.8})
+        sites = (((0,), None, "s0", "raw"), ((0, 1), gadgets._A2C_CIRCUIT, "s1", "fusion"))
+        # the rules have no key for the readable branches, but the
+        # impossible pattern is found first
+        with pytest.raises(ConsistencyError):
+            _readout(psi, sites, {})
+
+    def test_second_site_modes_are_checked_before_any_decision(self):
+        psi = states.two_qubit(1, 1j, -1, 0.5)
+        sites = (((0,), None, "s0", "raw"), ((1,), None, "s1", "raw"))
+        with pytest.raises(ValueError, match="out of range"):
+            _readout(psi, sites, {})
 
     def test_events_are_readings_only(self):
         out = pid(PureState(2, {(H, E): 0.6, (H, H): 0.8}), 1, B2G_RULES)
@@ -361,11 +377,14 @@ class TestCorrectionTable:
     @pytest.mark.parametrize("action", _corrections())
     def test_table_agrees_with_apply_circuit(self, action, rng):
         span = action._span
-        for _ in range(20):
-            psi = random_state(rng, span + 1)
-            assert_states_equal(
-                action.apply(psi), apply_circuit(psi, action.elements), tol=1e-15
-            )
+        # the full width, the path of every controlled-phase correction, and
+        # one spectator mode more
+        for modes in (span, span + 1):
+            for _ in range(20):
+                psi = random_state(rng, modes)
+                assert_states_equal(
+                    action.apply(psi), apply_circuit(psi, action.elements), tol=1e-15
+                )
         # each entry is the image of |occ⟩ on the modes up to the highest
         # target, a spectator mode after them left as it is, and keeps the
         # coefficients below PRUNE_EPS that apply_circuit drops

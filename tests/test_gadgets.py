@@ -245,6 +245,17 @@ class TestControlledPhase:
         result = cz_gate(states.basis_two_qubit("HV"))
         assert result.ensemble.total_weight == pytest.approx(1.0, abs=TOL)
 
+    def test_default_ancilla_is_built_once(self, monkeypatch):
+        calls = _counting(monkeypatch, states, "t1_prime")
+        result = cz_gate(states.two_qubit(1, 1j, -1, 0.5))
+        assert result.success_probability == pytest.approx(0.25, abs=TOL)
+        assert calls == []
+
+    def test_default_ancilla_is_t1_prime(self):
+        t1, ancilla = states.t1_prime(), gadgets._T1_PRIME
+        assert (ancilla.modes, ancilla.photon_cap) == (t1.modes, t1.photon_cap)
+        assert ancilla.items() == t1.items()
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             cz_gate(states.ghz_plus())
