@@ -133,12 +133,6 @@ class _Circuit:
         if span > state.modes:
             return apply_circuit(state, self.elements)  # raises the kernels' ValueError
         out: dict[FockVector, complex] = {}
-        if span == state.modes:
-            # the whole state is the head: no split, no tail to join
-            for vec, amp in state._amps.items():
-                for new, coeff in self.image(vec):
-                    out[new] = out.get(new, 0j) + amp * coeff
-            return PureState._trusted(state.modes, out, state.photon_cap)
         for vec, amp in state._amps.items():
             tail = vec[span:]
             for new_head, coeff in self.image(vec[:span]):
@@ -232,12 +226,7 @@ def _read(state: PureState, site: _Site) -> list[tuple[float, PureState, Outcome
             mags = [m for m in mags if m >= PRUNE_EPS]
         weight = sum([m**2 for m in mags])
         scale = 1.0 / math.sqrt(weight)
-        amps = {v: a * scale for v, a in sub.items()}
-        # scaling up keeps every term at or above PRUNE_EPS: nothing to prune
-        if scale >= 1.0:
-            post = PureState._unpruned(rest, amps, cap)
-        else:
-            post = PureState._trusted(rest, amps, cap)
+        post = PureState._trusted(rest, {v: a * scale for v, a in sub.items()}, cap)
         event = events.get(sector)
         if event is None:
             event = events[sector] = OutcomeEvent(name, *_reading(sector, site_kind))

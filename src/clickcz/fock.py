@@ -154,13 +154,6 @@ class PureState:
         """
         if amplitudes and min(map(abs, amplitudes.values())) < PRUNE_EPS:
             amplitudes = {v: a for v, a in amplitudes.items() if abs(a) >= PRUNE_EPS}
-        return cls._unpruned(modes, amplitudes, photon_cap)
-
-    @classmethod
-    def _unpruned(
-        cls, modes: int, amplitudes: dict[FockVector, complex], photon_cap: int
-    ) -> "PureState":
-        """``_trusted`` for amplitudes the caller knows are all at least ``PRUNE_EPS``."""
         state = object.__new__(cls)
         state.modes = modes
         state.photon_cap = photon_cap

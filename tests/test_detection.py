@@ -377,8 +377,8 @@ class TestCorrectionTable:
     @pytest.mark.parametrize("action", _corrections())
     def test_table_agrees_with_apply_circuit(self, action, rng):
         span = action._span
-        # the full width, the path of every controlled-phase correction, and
-        # one spectator mode more
+        # the full width, the path of every controlled-phase correction, where
+        # the rest of each term is empty, and one spectator mode more
         for modes in (span, span + 1):
             for _ in range(20):
                 psi = random_state(rng, modes)
