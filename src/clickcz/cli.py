@@ -286,7 +286,7 @@ def _gadget_report(config: ExperimentConfig, input_state: PureState | None) -> R
     result = oracle.GADGETS[config.experiment](input_state)
     rows = oracle.outcome_rows(result.ensemble)
     aggregated = oracle.aggregate_probabilities(rows)
-    keep_probability = sum(p for _, d, p in aggregated if d == "keep")
+    keep_probability = sum((p for _, d, p in aggregated if d == "keep"), 0.0)
 
     extras: dict = {}
     success = keep_probability
@@ -294,11 +294,14 @@ def _gadget_report(config: ExperimentConfig, input_state: PureState | None) -> R
         # heralded keep is 3/4; a pure GHZ state is extracted half the time
         ghz = states.ghz_plus()
         pure_ghz = sum(
-            r.probability
-            for r in rows
-            if r.disposition == "keep"
-            and r.state.modes == ghz.modes
-            and r.state.equal_up_to_global_phase(ghz)
+            (
+                r.probability
+                for r in rows
+                if r.disposition == "keep"
+                and r.state.modes == ghz.modes
+                and r.state.equal_up_to_global_phase(ghz)
+            ),
+            0.0,
         )
         extras["keep_probability"] = keep_probability
         success = pure_ghz

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -95,12 +96,21 @@ def _reading(sector: FockVector, site_kind: str) -> tuple[ClickPattern, str]:
     return pattern, interpret_pattern(pattern, site_kind)
 
 
+# A table coefficient of at most this magnitude is the rounding residue of an
+# exact zero (cos(π/2) = 6.1e-17; the largest met is 2.2e-16). It stays below
+# the smallest real coefficient the tests pin, sin²(2⁻²⁴) = 3.6e-15; no
+# library table has a real coefficient below 0.354.
+_RESIDUE = 4 * sys.float_info.epsilon
+
+
 @dataclass(frozen=True)
 class _Circuit:
     """Elements on modes 0 up to the highest target, read through a table.
 
     The table is the circuit's own: the image of each occupancy it has met,
     so the photon cap bounds it; no module-level cache is keyed on an angle.
+    Each image is filled scaled by 2^50, so the kernels prune nothing, and
+    then drops the coefficients of magnitude at most ``_RESIDUE``.
     """
 
     elements: tuple[ElementDescriptor, ...] = ()
@@ -116,7 +126,7 @@ class _Circuit:
         object.__setattr__(self, "_span", top + 1)
 
     def image(self, head: FockVector) -> tuple[tuple[FockVector, complex], ...]:
-        """The exact, unpruned image of |head⟩ padded with vacuum to the span."""
+        """The image of |head⟩ padded with vacuum to the span, residues dropped."""
         images = self._table.get(head)
         if images is None:
             span = self._span
@@ -124,7 +134,8 @@ class _Circuit:
             # a power of two scales exactly and keeps the kernels' pruning off
             one = PureState._trusted(span, {padded: 2.0**50 + 0j}, total_photons(head))
             images = apply_circuit(one, self.elements)._amps.items()
-            images = self._table[head] = tuple((v, c * 2.0**-50) for v, c in images)
+            unit = ((v, c * 2.0**-50) for v, c in images)
+            images = self._table[head] = tuple((v, c) for v, c in unit if abs(c) > _RESIDUE)
         return images
 
     def apply(self, state: PureState) -> PureState:
@@ -234,12 +245,19 @@ def _read(state: PureState, site: _Site) -> list[tuple[float, PureState, Outcome
     return out
 
 
-def _decide(weight, state, record, rules: FeedForwardRule | None, key: str) -> Branch:
+def _decide(
+    weight, state, record, rules: FeedForwardRule | None, key: str, corrected: dict
+) -> Branch:
     """Build one branch, decided by the rule of ``key``, its labels joined (``"13"``).
 
     The action's disposition goes on the branch, and a kept state gets the
     action's correction. An outcome with no rule is a hard error, not a
     silent keep; ``rules=None`` keeps every branch as read.
+
+    ``corrected`` maps ``id(action)`` to the (state, corrected state) pairs
+    of the branches of one readout decided before: a state whose amplitudes
+    equal (``==``) an earlier one's under the same action gets that
+    corrected state back.
     """
     if rules is None:
         return Branch(weight, state, record)
@@ -247,7 +265,15 @@ def _decide(weight, state, record, rules: FeedForwardRule | None, key: str) -> B
     if action is None:
         raise FeedForwardError(f"no feed-forward rule for outcome {key!r}")
     if action.disposition == "keep" and action.elements:
-        state = action.apply(state)
+        done = corrected.setdefault(id(action), [])
+        for before, after in done:
+            if before._amps == state._amps:
+                state = after
+                break
+        else:
+            after = action.apply(state)
+            done.append((state, after))
+            state = after
     return Branch(weight, state, record, action.disposition)
 
 
@@ -259,7 +285,8 @@ def _readout(
     Each site is resolved once and reads every survivor of the one before,
     with weights multiplied and labels joined into the rule key; the rules
     decide each branch once, after every site is read: the sites read one
-    by one, then ``apply_feed_forward``, but every branch built once.
+    by one, then ``apply_feed_forward``, but every branch built once. Each
+    action corrects each distinct kept state once.
     """
     level: list[tuple[float, PureState, tuple[OutcomeEvent, ...], str]] = [(1.0, state, (), "")]
     width = state.modes
@@ -271,7 +298,10 @@ def _readout(
             for w, parent, rs, key in level
             for sw, post, e in _read(parent, site)
         ]
-    return Ensemble(tuple([_decide(w, post, rs, rules, key) for w, post, rs, key in level]))
+    corrected: dict = {}
+    return Ensemble(
+        tuple([_decide(w, post, rs, rules, key, corrected) for w, post, rs, key in level])
+    )
 
 
 def measure_nr(
@@ -318,8 +348,9 @@ def apply_feed_forward(ensemble: Ensemble, rules: FeedForwardRule) -> Ensemble:
     record. No library path calls it; its readers are the tests and the
     ``perfbench/tracing.py`` boundaries.
     """
+    corrected: dict = {}
     decided = [
-        _decide(b.weight, b.state, b.record, rules, "".join([e.label for e in b.record]))
+        _decide(b.weight, b.state, b.record, rules, "".join([e.label for e in b.record]), corrected)
         for b in ensemble.branches
     ]
     return Ensemble(tuple(decided))

@@ -184,7 +184,7 @@ class PureState:
 
     @property
     def norm2(self) -> float:
-        return sum(abs(a) ** 2 for a in self._amps.values())
+        return sum((abs(a) ** 2 for a in self._amps.values()), 0.0)
 
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         return abs(self.norm2 - 1.0) <= tol
@@ -244,8 +244,8 @@ class PureState:
             )
         small, big = self._amps, other._amps
         if len(big) < len(small):
-            return sum(big[v].conjugate() * small[v] for v in big if v in small).conjugate()
-        return sum(small[v].conjugate() * big[v] for v in small if v in big)
+            return sum((big[v].conjugate() * small[v] for v in big if v in small), 0j).conjugate()
+        return sum((small[v].conjugate() * big[v] for v in small if v in big), 0j)
 
     def equal_up_to_global_phase(self, other: "PureState", tol: float = NORM_TOL) -> bool:
         """True iff |⟨self|other⟩| ≥ 1 − tol. Both states must be normalized."""
@@ -396,11 +396,11 @@ class Ensemble:
 
     @property
     def total_weight(self) -> float:
-        return sum(b.weight for b in self.branches)
+        return sum((b.weight for b in self.branches), 0.0)
 
     @property
     def keep_weight(self) -> float:
-        return sum(b.weight for b in self.branches if b.disposition == "keep")
+        return sum((b.weight for b in self.branches if b.disposition == "keep"), 0.0)
 
     def kept(self) -> tuple[Branch, ...]:
         return tuple(b for b in self.branches if b.disposition == "keep")

@@ -204,6 +204,8 @@ def a2c(state: PureState, mode_x: int, mode_y: int) -> Ensemble:
 # pair.  Derived by requiring every kept branch to equal the exact
 # controlled-phase image of the input, global phase included: outcomes 1/2
 # teleport with a bit-flip that a π/2 rotation undoes, outcomes 3/4 without.
+# The 16 pairs need 8 corrections; each is one action for its two pairs, so
+# a readout corrects their equal states once.
 _R0 = pr(0, PI / 2)
 _R1 = pr(1, PI / 2)
 _Z0 = pdps(0, PI)
@@ -211,22 +213,18 @@ _Z1 = pdps(1, PI)
 _P = ps(0, PI)
 
 CZ_RULES = {
-    "11": RuleAction(elements=(_R0, _R1, _Z1)),
-    "22": RuleAction(elements=(_R0, _R1, _Z1)),
-    "12": RuleAction(elements=(_R0, _R1, _Z1, _P)),
-    "21": RuleAction(elements=(_R0, _R1, _Z1, _P)),
-    "31": RuleAction(elements=(_R1, _Z0, _P)),
-    "42": RuleAction(elements=(_R1, _Z0, _P)),
-    "41": RuleAction(elements=(_R1, _Z0)),
-    "32": RuleAction(elements=(_R1, _Z0)),
-    "13": RuleAction(elements=(_R0, _Z0, _P)),
-    "24": RuleAction(elements=(_R0, _Z0, _P)),
-    "14": RuleAction(elements=(_R0, _Z0)),
-    "23": RuleAction(elements=(_R0, _Z0)),
-    "33": RuleAction(elements=(_Z1, _P)),
-    "44": RuleAction(elements=(_Z1, _P)),
-    "34": RuleAction(elements=(_Z1,)),
-    "43": RuleAction(elements=(_Z1,)),
+    pair: action
+    for pairs, action in (
+        (("11", "22"), RuleAction(elements=(_R0, _R1, _Z1))),
+        (("12", "21"), RuleAction(elements=(_R0, _R1, _Z1, _P))),
+        (("31", "42"), RuleAction(elements=(_R1, _Z0, _P))),
+        (("41", "32"), RuleAction(elements=(_R1, _Z0))),
+        (("13", "24"), RuleAction(elements=(_R0, _Z0, _P))),
+        (("14", "23"), RuleAction(elements=(_R0, _Z0))),
+        (("33", "44"), RuleAction(elements=(_Z1, _P))),
+        (("34", "43"), RuleAction(elements=(_Z1,))),
+    )
+    for pair in pairs
 }
 
 # The joint readout of both fusions: a discard at either one discards the

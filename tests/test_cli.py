@@ -40,6 +40,17 @@ class TestEnumerateReports:
         labels = {(o["label"], o["disposition"]) for o in report.outcomes}
         assert ("00", "discard") in labels
 
+    def test_vacuum_b2g_report_writes_float_zeros(self, tmp_path):
+        # no branch is kept, so both sums are empty: they print 0.0, not 0
+        path = tmp_path / "vacuum.json"
+        path.write_text(PureState.vacuum(4).to_json())
+        report, code = run(ExperimentConfig(experiment="b2g", input_path=str(path)))
+        assert code == 0
+        written = json.loads(report.to_json())
+        for value in (written["keep_probability"], written["success_probability"]):
+            assert type(value) is float and value == 0.0
+        assert '"keep_probability": 0.0,' in report.to_json()
+
     def test_pipeline_report(self):
         report, code = run(ExperimentConfig(experiment="pipeline"))
         assert code == 0
@@ -301,10 +312,11 @@ class TestReportWriter:
 
         monkeypatch.setattr(PureState, "to_json_dict", counting)
         report, _ = run(ExperimentConfig("pipeline", emit_states=True))
-        # 256 kept rows share 16 state objects after Ensemble.then's reuse
+        # 256 kept rows share 8 state objects: Ensemble.then's reuse leaves 16
+        # kept gate branches, and the readout corrects each pair's state once
         assert len(report.states) == 256
-        assert len(calls) == len(set(calls)) == 16
-        assert len({id(entry["state"]) for entry in report.states}) == 16
+        assert len(calls) == len(set(calls)) == 8
+        assert len({id(entry["state"]) for entry in report.states}) == 8
 
     @pytest.mark.parametrize("experiment", ["cz", "pipeline"])
     def test_outcome_rows_order_unchanged(self, experiment):

@@ -259,13 +259,14 @@ class TestDecide:
 
     def test_no_rules_keeps_the_branch_as_read(self):
         psi = states.qubit(1, 0)
-        assert _decide(0.5, psi, self.RECORD, None, "25") == Branch(0.5, psi, self.RECORD, "keep")
+        branch = _decide(0.5, psi, self.RECORD, None, "25", {})
+        assert branch == Branch(0.5, psi, self.RECORD, "keep")
 
     @pytest.mark.parametrize("disposition", ["keep", "discard"])
     def test_rule_sets_the_disposition(self, disposition):
         psi = states.qubit(1, 0)
         rules = {"25": RuleAction(elements=(pdps(0, math.pi),), disposition=disposition)}
-        branch = _decide(0.5, psi, self.RECORD, rules, "25")
+        branch = _decide(0.5, psi, self.RECORD, rules, "25", {})
         assert branch.disposition == disposition
         assert branch.record is self.RECORD
         # only a kept branch is corrected
@@ -415,6 +416,22 @@ class TestCorrectionTable:
         for _ in range(100):
             decide_with_fresh_angles()
         assert [f.cache_info().currsize for f in caches] == sizes
+
+    def test_no_rounding_residue_is_kept(self):
+        # the optics' exact zeros come out of the kernels as residues of at
+        # most 2.2e-16, such as cos(π/2) = 6.1e-17; the fill drops them
+        psi = states.two_qubit(1, 1j, -1, 0.5)
+        gadgets.cz_full_pipeline(psi)
+        gadgets.cz_gate(psi)
+        assert detection._RESIDUE == 4 * 2.0**-52
+        rules = [getattr(gadgets, f"{name}_RULES") for name in ("B2G", "ECC", "G2A", "A2C", "CZ")]
+        circuits = [circuit for circuit, _k in SITE_CIRCUITS]
+        circuits += [action for table in rules for action in table.values()]
+        coefficients = [
+            abs(c) for circuit in circuits for images in circuit._table.values() for _v, c in images
+        ]
+        assert coefficients
+        assert min(coefficients) > detection._RESIDUE
 
     def test_warm_cz_gate_runs_no_element_kernel(self, monkeypatch):
         gadgets.cz_gate(states.two_qubit(1, 1j, -1, 0.5))

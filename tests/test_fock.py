@@ -142,6 +142,28 @@ class TestInnerProduct:
         assert b.inner_product(a) == pytest.approx(0.6j)
 
 
+class TestEmptySums:
+    """A sum over nothing is a float or complex zero, as a non-empty one is."""
+
+    def test_zero_state_norm(self):
+        norm2 = PureState(1, {}).norm2
+        assert type(norm2) is float and norm2 == 0.0
+
+    def test_disjoint_supports(self):
+        a, b = PureState(1, {(H,): 1.0}), PureState(1, {(V,): 1.0})
+        for overlap in (a.inner_product(b), b.inner_product(a)):
+            assert type(overlap) is complex and overlap == 0j
+
+    def test_no_branches(self):
+        ensemble = Ensemble(())
+        for weight in (ensemble.total_weight, ensemble.keep_weight):
+            assert type(weight) is float and weight == 0.0
+
+    def test_no_kept_branch(self):
+        ensemble = Ensemble((Branch(1.0, PureState.vacuum(1), (), "discard"),))
+        assert type(ensemble.keep_weight) is float and ensemble.keep_weight == 0.0
+
+
 class TestGlobalPhase:
     def test_phase_factor_is_ignored(self):
         psi = states.t1_prime()

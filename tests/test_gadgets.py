@@ -5,6 +5,8 @@ import random
 import pytest
 
 from clickcz import detection, fock, gadgets
+from clickcz.detection import RuleAction
+from clickcz.elements import pdps, pr, ps
 from clickcz.fock import Branch, ConsistencyError, PureState, SimulatorError
 from clickcz.gadgets import (
     CZ_RULES,
@@ -216,6 +218,38 @@ class TestControlledPhase:
             b.record[-2].label + b.record[-1].label for b in result.success_branches()
         }
         assert pairs == set(CZ_RULES)
+
+    def test_pairs_share_one_correction(self):
+        # the rule table as first derived, one action per outcome pair
+        pi = math.pi
+        r0, r1, z0, z1, p = pr(0, pi / 2), pr(1, pi / 2), pdps(0, pi), pdps(1, pi), ps(0, pi)
+        derived = {
+            "11": (r0, r1, z1),
+            "22": (r0, r1, z1),
+            "12": (r0, r1, z1, p),
+            "21": (r0, r1, z1, p),
+            "31": (r1, z0, p),
+            "42": (r1, z0, p),
+            "41": (r1, z0),
+            "32": (r1, z0),
+            "13": (r0, z0, p),
+            "24": (r0, z0, p),
+            "14": (r0, z0),
+            "23": (r0, z0),
+            "33": (z1, p),
+            "44": (z1, p),
+            "34": (z1,),
+            "43": (z1,),
+        }
+        assert CZ_RULES == {key: RuleAction(elements) for key, elements in derived.items()}
+        assert len({id(action) for action in CZ_RULES.values()}) == 8
+        # the two kept branches of each pair hold one corrected state
+        by_action: dict = {}
+        for branch in cz_gate(states.two_qubit(1, 1j, -1, 0.5)).success_branches():
+            key = branch.record[-2].label + branch.record[-1].label
+            by_action.setdefault(id(CZ_RULES[key]), set()).add(id(branch.state))
+        assert len(by_action) == 8
+        assert all(len(ids) == 1 for ids in by_action.values())
 
     def test_superposition_input(self):
         psi = states.product_two_qubit((1, 1), (1, 1))
