@@ -23,7 +23,7 @@ def main():
     print("kept outcome pairs:")
     for branch in result.success_branches():
         pair = branch.record[-2].label + branch.record[-1].label
-        ok = branch.state.equal_up_to_global_phase(target, 1e-12)
+        ok = branch.state.equal_up_to_global_phase(target)
         print(
             f"  |{pair}>  weight {branch.weight:.6f}  "
             f"matches CZ(input): {ok}"

@@ -242,7 +242,7 @@ def _load_circuit(path: str) -> list[ElementDescriptor]:
     if not isinstance(data, list):
         raise ConfigError("a circuit file must be a JSON array of element descriptors")
     try:
-        return [ElementDescriptor.from_json_dict(d, one_based=True) for d in data]
+        return [ElementDescriptor.from_json_dict(d) for d in data]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad element descriptor: {exc}") from exc
 

@@ -26,6 +26,7 @@ from .fock import (
     OutcomeEvent,
     PRUNE_EPS,
     PureState,
+    _integer,
     total_photons,
 )
 
@@ -43,38 +44,32 @@ _FUSION_TWO_CLICK = {
 }
 
 
-def interpret_pattern(pattern: Sequence[bool], site_kind: str) -> str:
-    """Map a click pattern to its classical outcome label.
+def interpret_pattern(pattern: Sequence[bool]) -> str:
+    """Map a click pattern to its classical outcome label, by its rail count.
 
-    ``site_kind`` is ``"pid"`` for the two rails behind a single PID and
-    ``"fusion"`` for the four rails behind a pair of PIDs.  At a fusion site,
-    single clicks collapse into one discard class because a bucket detector
-    cannot count the photons it absorbed.
+    Two rails are the H and V rails behind a single PID, and four are the
+    rails behind a pair of PIDs at a fusion site, where single clicks
+    collapse into one discard class because a bucket detector cannot count
+    the photons it absorbed. Any other count reads as a raw bit string.
     """
     pattern = tuple(bool(c) for c in pattern)
-    clicks = [i for i, c in enumerate(pattern) if c]
-    if site_kind == "pid":
-        if len(pattern) != 2:
-            raise ConsistencyError(f"PID site expects 2 rails, got {len(pattern)}")
+    if len(pattern) == 2:
         return {
             (True, False): "Hn0",
             (False, True): "0Vn",
             (False, False): "00",
             (True, True): "HnVn",
         }[pattern]
-    if site_kind == "fusion":
-        if len(pattern) != 4:
-            raise ConsistencyError(f"fusion site expects 4 rails, got {len(pattern)}")
-        if len(clicks) == 0:
-            return "silent"
-        if len(clicks) == 1:
-            return "one-click"
-        if len(clicks) == 2:
-            return _FUSION_TWO_CLICK[frozenset(clicks)]
-        raise ConsistencyError(
-            f"{len(clicks)} clicks are impossible at a two-photon fusion site"
-        )
-    raise ValueError(f"unknown site kind {site_kind!r}")
+    if len(pattern) != 4:
+        return "".join("1" if c else "0" for c in pattern)
+    clicks = [i for i, c in enumerate(pattern) if c]
+    if len(clicks) == 0:
+        return "silent"
+    if len(clicks) == 1:
+        return "one-click"
+    if len(clicks) == 2:
+        return _FUSION_TWO_CLICK[frozenset(clicks)]
+    raise ConsistencyError(f"{len(clicks)} clicks are impossible at a two-photon fusion site")
 
 
 def _picker(indices: Sequence[int]) -> Callable[[FockVector], tuple]:
@@ -85,15 +80,13 @@ def _picker(indices: Sequence[int]) -> Callable[[FockVector], tuple]:
 
 
 @functools.lru_cache(maxsize=None)
-def _reading(sector: FockVector, site_kind: str) -> tuple[ClickPattern, str]:
+def _reading(sector: FockVector) -> tuple[ClickPattern, str]:
     """Click pattern and outcome label of one photon-number sector.
 
-    Cached per sector and site kind; sectors hold at most the photon cap.
+    Cached per sector; sectors hold at most the photon cap.
     """
     pattern = tuple(n_h + n_v > 0 for n_h, n_v in sector)
-    if site_kind == "raw":
-        return pattern, "".join("1" if c else "0" for c in pattern)
-    return pattern, interpret_pattern(pattern, site_kind)
+    return pattern, interpret_pattern(pattern)
 
 
 # A table coefficient of at most this magnitude is the rounding residue of an
@@ -180,18 +173,17 @@ class _Site(NamedTuple):
     rest: int
     circuit: _Circuit | None
     name: str
-    site_kind: str
     events: dict[FockVector, OutcomeEvent]
 
 
 def _resolve(site: tuple, width: int) -> _Site:
-    """Check a (modes, circuit or None, name, kind) site against ``width`` modes.
+    """Check a (modes, circuit or None, name) site against ``width`` modes.
 
-    A mode out of range or repeated raises ``ValueError`` before any term
-    is read.
+    A mode that is not an integer raises ``TypeError``, and one out of range
+    or repeated ``ValueError``, before any term is read.
     """
-    modes, circuit, name, site_kind = site
-    modes = tuple(modes)
+    modes, circuit, name = site
+    modes = tuple(_integer(m, "a measured mode") for m in modes)
     measured = set(modes)
     if len(measured) != len(modes):
         raise ValueError("measured modes must be distinct")
@@ -199,7 +191,7 @@ def _resolve(site: tuple, width: int) -> _Site:
         if not 0 <= m < width:
             raise ValueError(f"mode {m} out of range")
     rest = [i for i in range(width) if i not in measured]
-    return _Site(_picker(modes), _picker(rest), len(rest), circuit, name, site_kind, {})
+    return _Site(_picker(modes), _picker(rest), len(rest), circuit, name, {})
 
 
 def _read(state: PureState, site: _Site) -> list[tuple[float, PureState, OutcomeEvent]]:
@@ -209,7 +201,7 @@ def _read(state: PureState, site: _Site) -> list[tuple[float, PureState, Outcome
     sectors left empty omitted. Every mode of a site circuit's ``image`` is
     a detector rail, in reporting order.
     """
-    occ_of, rest_of, rest, circuit, name, site_kind, events = site
+    occ_of, rest_of, rest, circuit, name, events = site
     sectors: dict[FockVector, dict[FockVector, complex]] = {}
     for vec, amp in state._amps.items():
         sectors.setdefault(occ_of(vec), {})[rest_of(vec)] = amp
@@ -240,7 +232,7 @@ def _read(state: PureState, site: _Site) -> list[tuple[float, PureState, Outcome
         post = PureState._trusted(rest, {v: a * scale for v, a in sub.items()}, cap)
         event = events.get(sector)
         if event is None:
-            event = events[sector] = OutcomeEvent(name, *_reading(sector, site_kind))
+            event = events[sector] = OutcomeEvent(name, *_reading(sector))
         out.append((weight, post, event))
     return out
 
@@ -280,7 +272,7 @@ def _decide(
 def _readout(
     state: PureState, sites: Sequence[tuple], rules: FeedForwardRule | None = None
 ) -> Ensemble:
-    """Read each site, a (modes, circuit or None, name, kind) tuple, in turn.
+    """Read each site, a (modes, circuit or None, name) tuple, in turn.
 
     Each site is resolved once and reads every survivor of the one before,
     with weights multiplied and labels joined into the rule key; the rules
@@ -304,23 +296,17 @@ def _readout(
     )
 
 
-def measure_nr(
-    state: PureState,
-    modes: Sequence[int],
-    site: str,
-    site_kind: str | None = None,
-) -> Ensemble:
+def measure_nr(state: PureState, modes: Sequence[int], site: str) -> Ensemble:
     """Measure the given modes with non-number-resolving detectors.
 
     Branches are keyed by the exact photon content of the measured modes
     (so e.g. one and two photons on the same rail become separate branches
     sharing a click-pattern label).  Measured modes are removed from the
     surviving states; weights are the Born probabilities; zero-probability
-    patterns are omitted.
+    patterns are omitted. Labels follow the number of modes read, as
+    ``interpret_pattern`` reads rails.
     """
-    if site_kind is None:
-        site_kind = {2: "pid", 4: "fusion"}.get(len(modes), "raw")
-    return _readout(state, ((modes, None, site, site_kind),))
+    return _readout(state, ((modes, None, site),))
 
 
 def trace_out(ensemble: Ensemble, mode: int) -> Ensemble:
@@ -335,7 +321,7 @@ def trace_out(ensemble: Ensemble, mode: int) -> Ensemble:
         tuple(
             Branch(branch.weight * b.weight, b.state, branch.record, branch.disposition)
             for branch in ensemble.branches
-            for b in measure_nr(branch.state, (mode,), "trace", "raw").branches
+            for b in measure_nr(branch.state, (mode,), "trace").branches
         )
     )
 
@@ -389,4 +375,4 @@ def pid(
     measured rails disappear from the surviving states.  Corrective element
     targets refer to post-measurement mode indices.
     """
-    return _readout(state, (((mode,), _PID_CIRCUIT, site, "pid"),), rules)
+    return _readout(state, (((mode,), _PID_CIRCUIT, site),), rules)

@@ -70,9 +70,9 @@ class ElementDescriptor:
             elif not math.isfinite(angle):
                 raise ValueError(f"{name} must be finite, got {angle!r}")
 
-    def to_json_dict(self, *, one_based: bool = False) -> dict:
-        shift = 1 if one_based else 0
-        out: dict = {"kind": self.kind, "targets": [t + shift for t in self.targets]}
+    def to_json_dict(self) -> dict:
+        """The circuit-file form: targets are 1-based."""
+        out: dict = {"kind": self.kind, "targets": [t + 1 for t in self.targets]}
         if self.theta is not None:
             out["theta"] = self.theta
         if self.phi is not None:
@@ -80,7 +80,7 @@ class ElementDescriptor:
         return out
 
     @staticmethod
-    def from_json_dict(data: Mapping, *, one_based: bool = False) -> "ElementDescriptor":
+    def from_json_dict(data: Mapping) -> "ElementDescriptor":
         """Load the ``to_json_dict`` form; a key it does not write raises ``ValueError``."""
         if not isinstance(data, Mapping):
             raise TypeError(f"an element descriptor must be an object, got {data!r}")
@@ -88,12 +88,11 @@ class ElementDescriptor:
         if unknown:
             raise ValueError(f"unknown element key(s) {unknown}")
         targets = tuple(_integer(t, "a target") for t in data["targets"])
-        if one_based and min(targets, default=1) < 1:
+        if min(targets, default=1) < 1:
             raise ValueError(f"targets are 1-based, got {targets}")
-        shift = 1 if one_based else 0
         return ElementDescriptor(
             kind=str(data["kind"]),
-            targets=tuple(t - shift for t in targets),
+            targets=tuple(t - 1 for t in targets),
             theta=_json_number(data["theta"], "theta") if "theta" in data else None,
             phi=_json_number(data["phi"], "phi") if "phi" in data else None,
         )

@@ -186,8 +186,8 @@ class PureState:
     def norm2(self) -> float:
         return sum((abs(a) ** 2 for a in self._amps.values()), 0.0)
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm2 - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm2 - 1.0) <= NORM_TOL
 
     def normalized(self) -> "PureState":
         n2 = self.norm2
@@ -247,9 +247,9 @@ class PureState:
             return sum((big[v].conjugate() * small[v] for v in big if v in small), 0j).conjugate()
         return sum((small[v].conjugate() * big[v] for v in small if v in big), 0j)
 
-    def equal_up_to_global_phase(self, other: "PureState", tol: float = NORM_TOL) -> bool:
-        """True iff |⟨self|other⟩| ≥ 1 − tol. Both states must be normalized."""
-        return abs(self.inner_product(other)) >= 1.0 - tol
+    def equal_up_to_global_phase(self, other: "PureState") -> bool:
+        """True iff |⟨self|other⟩| ≥ 1 − NORM_TOL. Both states must be normalized."""
+        return abs(self.inner_product(other)) >= 1.0 - NORM_TOL
 
     # -- serialization -----------------------------------------------------------
 

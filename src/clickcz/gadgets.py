@@ -25,15 +25,13 @@ def _require_normalized(state: PureState, what: str) -> None:
         raise SimulatorError(f"{what} must be normalized, got norm² {state.norm2!r}")
 
 
-def _require_two_qubits(state: PureState) -> None:
-    """Reject a controlled-phase input that is not two dual-rail qubits."""
-    if state.modes != 2:
-        raise ValueError("controlled-phase input must be a 2-mode state")
+def _require_qubits(state: PureState, modes: int, what: str) -> None:
+    """Reject a state that is not ``modes`` dual-rail qubits, one photon per mode."""
+    if state.modes != modes:
+        raise ValueError(f"{what} must be a {modes}-mode state")
     for vec in state._amps:
         if any(n_h + n_v != 1 for n_h, n_v in vec):
-            raise SimulatorError(
-                f"controlled-phase input must hold one photon per mode, got term {vec}"
-            )
+            raise SimulatorError(f"{what} must hold one photon per mode, got term {vec}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,7 @@ def ecc(state: PureState, mode_a: int, mode_b: int) -> Ensemble:
     by table 3's verification (``oracle._verify_table3``), demo 04 and the
     ``perfbench`` tracer.
     """
-    return _readout(state, (((mode_a, mode_b), _ECC_CIRCUIT, "ecc", "fusion"),), ECC_RULES)
+    return _readout(state, (((mode_a, mode_b), _ECC_CIRCUIT, "ecc"),), ECC_RULES)
 
 
 # -- GHZ pair to the four-qubit gate ancilla ------------------------------------
@@ -169,7 +167,7 @@ def g2a(input_ensemble: Ensemble | PureState) -> GadgetResult:
         if registers.modes != 6:
             raise ValueError("ancilla conversion expects 6-mode registers")
         _require_normalized(registers, "ancilla conversion input")
-        error_filter = ((1, 4), _ECC_CIRCUIT, "g2a/ecc", "fusion")
+        error_filter = ((1, 4), _ECC_CIRCUIT, "g2a/ecc")
         return _readout(registers, (error_filter,), G2A_RULES)
 
     return GadgetResult(input_ensemble.then(convert))
@@ -195,7 +193,7 @@ def a2c(state: PureState, mode_x: int, mode_y: int) -> Ensemble:
     bunched and the attempt is discarded.
     """
     _require_normalized(state, "fusion input")
-    return _readout(state, (((mode_x, mode_y), _A2C_CIRCUIT, "a2c", "fusion"),), A2C_RULES)
+    return _readout(state, (((mode_x, mode_y), _A2C_CIRCUIT, "a2c"),), A2C_RULES)
 
 
 # -- controlled-phase gate -------------------------------------------------------
@@ -250,18 +248,18 @@ def cz_gate(input_state: PureState, ancilla: PureState | None = None) -> GadgetR
     The input qubits fuse with the outer ancilla rails; the two inner
     ancilla rails carry the gate output after outcome-paired corrections.
     """
-    _require_two_qubits(input_state)
+    _require_qubits(input_state, 2, "controlled-phase input")
     if ancilla is None:
         ancilla = _T1_PRIME
-    if ancilla.modes != 4:
-        raise ValueError("ancilla must be a 4-mode state")
+    else:
+        _require_qubits(ancilla, 4, "ancilla")
     _require_normalized(input_state, "controlled-phase input")
     _require_normalized(ancilla, "ancilla")
 
     # Modes are fused where the tensor product puts them, (q1, q2, a1..a4):
     # (q1, a1) first, leaving (q2, a2, a3, a4), then (a4, q2), leaving
     # (a2, a3). The two fusions are one readout, decided by outcome pair.
-    sites = (((0, 2), _A2C_CIRCUIT, "a2c1", "fusion"), ((3, 0), _A2C_CIRCUIT, "a2c2", "fusion"))
+    sites = (((0, 2), _A2C_CIRCUIT, "a2c1"), ((3, 0), _A2C_CIRCUIT, "a2c2"))
     return GadgetResult(_readout(input_state.tensor(ancilla), sites, _CZ_PAIR_RULES))
 
 
@@ -283,7 +281,7 @@ def cz_full_pipeline(input_state: PureState) -> PipelineResult:
     partial records, successes end in the exact controlled-phase image of
     the input.
     """
-    _require_two_qubits(input_state)
+    _require_qubits(input_state, 2, "controlled-phase input")
     _require_normalized(input_state, "controlled-phase input")
     # both conversions start from the same Bell pairs, so the second reuses
     # the first's branches under its own site name

@@ -9,13 +9,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from . import states, tables
-from .fock import Branch, Ensemble, FockVector, ModeMismatchError, PureState
+from .fock import NORM_TOL, Branch, Ensemble, FockVector, ModeMismatchError, PureState
 from .gadgets import GadgetResult, a2c, b2g, cz_gate, cz_full_pipeline, ecc_optics, ecc, g2a
 
 if TYPE_CHECKING:
     import numpy as np
-
-PHASE_TOL = 1e-12
 
 
 # -- dense density matrices ------------------------------------------------------
@@ -218,25 +216,23 @@ class TableReport:
 
 
 def match_up_to_phase(
-    actual: PureState,
-    golden: Mapping[FockVector, complex],
-    tol: float = PHASE_TOL,
+    actual: PureState, golden: Mapping[FockVector, complex]
 ) -> tuple[bool, float, complex]:
-    """Compare against reference amplitudes after global-phase alignment.
+    """Compare against reference amplitudes after global-phase alignment, to NORM_TOL.
 
     The phase reference is the largest-magnitude golden amplitude, ties
     broken by canonical basis order.
     """
     ref_vec = min(golden, key=lambda v: (-abs(golden[v]), v))
     actual_ref = actual.amplitude(ref_vec)
-    if abs(actual_ref) < tol:
+    if abs(actual_ref) < NORM_TOL:
         return False, float("inf"), 1.0 + 0j
     phase = (golden[ref_vec] / abs(golden[ref_vec])) / (actual_ref / abs(actual_ref))
     vectors = set(golden) | {vec for vec, _ in actual.items()}
     deviation = max(
         abs(golden.get(vec, 0j) - phase * actual.amplitude(vec)) for vec in vectors
     )
-    return deviation <= tol, deviation, phase
+    return deviation <= NORM_TOL, deviation, phase
 
 
 def _verify_filter_table(table_id: int, goldens: Mapping[str, Mapping]) -> TableReport:
@@ -258,7 +254,7 @@ def _verify_table3() -> TableReport:
         label = branch.record[-1].label
         golden = tables.TABLE3["5,6" if label in ("5", "6") else "3,4"]
         ok, dev, _ = match_up_to_phase(branch.state, golden)
-        weight_ok = abs(branch.weight - 0.125) <= PHASE_TOL
+        weight_ok = abs(branch.weight - 0.125) <= NORM_TOL
         rows.append(RowReport(label, ok and weight_ok, dev))
     rows.sort(key=lambda r: r.key)
     return TableReport(3, tuple(rows))
@@ -279,7 +275,7 @@ def _verify_table4() -> TableReport:
             pair = branch.record[-2].label + branch.record[-1].label
             seen.add(pair)
             ok, dev, _ = match_up_to_phase(branch.state, golden)
-            if abs(branch.weight - tables.TABLE4_PROBABILITY) > PHASE_TOL:
+            if abs(branch.weight - tables.TABLE4_PROBABILITY) > NORM_TOL:
                 ok = False
             prev_ok, prev_dev = per_label[pair]
             per_label[pair] = (prev_ok and ok, max(prev_dev, dev))

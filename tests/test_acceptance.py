@@ -40,7 +40,7 @@ def test_criterion_1_b2g_mixture():
     ghz = states.ghz_plus()
     pure_ghz = sum(
         b.weight for b in result.ensemble.kept()
-        if b.state.equal_up_to_global_phase(ghz, TOL)
+        if b.state.equal_up_to_global_phase(ghz)
     )
     assert abs(pure_ghz - 0.5) <= TOL
     report(1, "B2G keep 3/4, kept mixture (2|GHZ+><GHZ+|+|V0H><V0H|)/3, pure GHZ 1/2")
@@ -79,7 +79,7 @@ def test_criterion_4_g2a():
     assert abs(result.success_probability - 0.5) <= TOL
     t1 = states.t1_prime()
     for branch in result.success_branches():
-        assert branch.state.equal_up_to_global_phase(t1, TOL)
+        assert branch.state.equal_up_to_global_phase(t1)
 
     for left, right in ((states.ghz_plus(), states.v0h()),
                         (states.v0h(), states.ghz_plus())):
@@ -115,7 +115,7 @@ def test_criterion_5_controlled_phase_correctness():
         assert abs(result.success_probability - 0.25) <= TOL
         target = states.controlled_phase_of(psi)
         for branch in result.success_branches():
-            assert branch.state.equal_up_to_global_phase(target, TOL)
+            assert branch.state.equal_up_to_global_phase(target)
     report(5, "CZ exact on 4 basis + 100 random inputs, success 1/4 regardless of input")
 
 

@@ -1,6 +1,8 @@
+import contextlib
 import math
 import re
 
+import numpy as np
 import pytest
 
 import clickcz
@@ -15,6 +17,7 @@ from clickcz.detection import (
     measure_nr,
     pid,
     pid_split,
+    trace_out,
 )
 from clickcz.elements import apply_circuit, apply_pr, bs, pbs, pdps, pr, ps
 from clickcz.fock import (
@@ -22,6 +25,7 @@ from clickcz.fock import (
     PRUNE_EPS,
     Branch,
     ConsistencyError,
+    Ensemble,
     FeedForwardError,
     OutcomeEvent,
     PureState,
@@ -49,36 +53,40 @@ class TestInterpretPattern:
         ],
     )
     def test_two_click_shorthand(self, clicks, label):
-        assert interpret_pattern(clicks, "fusion") == label
+        assert interpret_pattern(clicks) == label
 
     def test_single_click_is_one_discard_class(self):
         for i in range(4):
             pattern = tuple(j == i for j in range(4))
-            assert interpret_pattern(pattern, "fusion") == "one-click"
+            assert interpret_pattern(pattern) == "one-click"
 
     def test_silence(self):
-        assert interpret_pattern((False,) * 4, "fusion") == "silent"
+        assert interpret_pattern((False,) * 4) == "silent"
 
     def test_impossible_pattern(self):
         with pytest.raises(ConsistencyError):
-            interpret_pattern((True, True, True, False), "fusion")
+            interpret_pattern((True, True, True, False))
 
     def test_pid_labels(self):
-        assert interpret_pattern((True, False), "pid") == "Hn0"
-        assert interpret_pattern((False, True), "pid") == "0Vn"
-        assert interpret_pattern((False, False), "pid") == "00"
-        assert interpret_pattern((True, True), "pid") == "HnVn"
+        assert interpret_pattern((True, False)) == "Hn0"
+        assert interpret_pattern((False, True)) == "0Vn"
+        assert interpret_pattern((False, False)) == "00"
+        assert interpret_pattern((True, True)) == "HnVn"
 
-    def test_wrong_arity(self):
-        with pytest.raises(ConsistencyError):
-            interpret_pattern((True,), "pid")
-        with pytest.raises(ConsistencyError):
-            interpret_pattern((True, False), "fusion")
+    def test_labels_follow_the_rail_count(self):
+        # 2 rails read as a PID, 4 as a fusion pair, any other count raw
+        assert interpret_pattern((True,)) == "1"
+        assert interpret_pattern((True, False, True)) == "101"
+        assert interpret_pattern((True, False)) == "Hn0"
+        assert interpret_pattern((True, False, False, True)) == "3"
+        psi = PureState(4, {(H, E, V, E): 1.0})
+        assert [b.record[0].label for b in measure_nr(psi, (0, 2), "d").branches] == ["HnVn"]
+        assert [b.record[0].label for b in measure_nr(psi, (0, 1, 2, 3), "d").branches] == ["2"]
 
 
 class TestMeasure:
     def test_single_photon_click(self):
-        out = measure_nr(PureState(1, {(H,): 1.0}), (0,), site="d", site_kind="raw")
+        out = measure_nr(PureState(1, {(H,): 1.0}), (0,), site="d")
         assert len(out.branches) == 1
         branch = out.branches[0]
         assert branch.weight == pytest.approx(1.0)
@@ -88,7 +96,7 @@ class TestMeasure:
     def test_weights_sum_to_input_norm(self, rng):
         for _ in range(30):
             psi = random_state(rng, 3)
-            out = measure_nr(psi, (0, 2), site="d", site_kind="pid")
+            out = measure_nr(psi, (0, 2), site="d")
             assert out.total_weight == pytest.approx(psi.norm2, abs=1e-12)
 
     def test_photon_number_sectors_become_separate_branches(self):
@@ -97,7 +105,7 @@ class TestMeasure:
             2,
             {(H, H): 1 / math.sqrt(2), ((2, 0), V): 1 / math.sqrt(2)},
         )
-        out = measure_nr(psi, (0,), site="d", site_kind="raw")
+        out = measure_nr(psi, (0,), site="d")
         assert len(out.branches) == 2
         labels = {b.record[0].label for b in out.branches}
         assert labels == {"1"}
@@ -106,12 +114,12 @@ class TestMeasure:
             assert branch.state.is_normalized()
 
     def test_zero_probability_patterns_omitted(self):
-        out = measure_nr(states.qubit(1, 0), (0,), site="d", site_kind="raw")
+        out = measure_nr(states.qubit(1, 0), (0,), site="d")
         assert len(out.branches) == 1
 
     def test_measured_modes_removed(self):
         psi = states.ghz_plus()
-        out = measure_nr(psi, (2,), site="d", site_kind="raw")
+        out = measure_nr(psi, (2,), site="d")
         for branch in out.branches:
             assert branch.state.modes == 2
 
@@ -214,6 +222,32 @@ SITE_CIRCUITS = [
 ]
 
 
+class TestMeasuredModeTypes:
+    """Readout modes are read as integers, as element targets are."""
+
+    READOUTS = {
+        "measure_nr": lambda m: measure_nr(states.ghz_plus(), (m,), "s"),
+        "pid": lambda m: pid(states.ghz_plus(), m, B2G_RULES),
+        "a2c": lambda m: gadgets.a2c(states.ghz_plus(), m, 0),
+        "trace_out": lambda m: trace_out(Ensemble.pure(states.ghz_plus()), m),
+    }
+
+    @pytest.mark.parametrize("readout", sorted(READOUTS))
+    @pytest.mark.parametrize("mode", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_non_integer_mode_rejected(self, readout, mode):
+        message = re.escape(f"a measured mode must be an integer, got {mode!r}")
+        with pytest.raises(TypeError, match=message):
+            self.READOUTS[readout](mode)
+
+    @pytest.mark.parametrize("readout", sorted(READOUTS))
+    def test_numpy_integer_reads_like_int(self, readout):
+        def branches(ensemble):
+            return [(b.weight, b.record, b.disposition, b.state._amps) for b in ensemble.branches]
+
+        run = self.READOUTS[readout]
+        assert branches(run(np.int64(1))) == branches(run(1))
+
+
 class TestTransferTable:
     """Each site circuit's own table holds one image per occupancy, nothing more."""
 
@@ -227,7 +261,10 @@ class TestTransferTable:
             psi = apply_pr(random_state(rng, 3), 0, rng.uniform(-math.pi, math.pi))
             for (circuit, k), occupancies in zip(SITE_CIRCUITS, seen):
                 modes = tuple(rng.sample(range(3), k))
-                _readout(psi, ((modes, circuit, "t", "raw"),))
+                # four rails read as a fusion pair, where three clicks raise
+                # once every image of the state is in the table
+                with contextlib.suppress(ConsistencyError):
+                    _readout(psi, ((modes, circuit, "t"),))
                 occupancies |= {tuple(vec[m] for m in modes) for vec in psi._amps}
         # one entry per occupancy of the measured modes, within the photon cap
         for (circuit, k), occupancies in zip(SITE_CIRCUITS, seen):
@@ -240,7 +277,7 @@ class TestTransferTable:
 
         def read_through_a_fresh_circuit():
             circuit = _Circuit((pr(0, rng.uniform(-math.pi, math.pi)), pbs(0, 1)))
-            _readout(psi, (((2,), circuit, "t", "pid"),))
+            _readout(psi, (((2,), circuit, "t"),))
 
         read_through_a_fresh_circuit()
         sizes = [f.cache_info().currsize for f in caches]
@@ -276,7 +313,7 @@ class TestDecide:
         # the first site's survivors are read in sector order: one photon in
         # each fused mode (two clicks), then two photons and one (three)
         psi = PureState(3, {(V, H, V): 0.6, (H, (2, 0), H): 0.8})
-        sites = (((0,), None, "s0", "raw"), ((0, 1), gadgets._A2C_CIRCUIT, "s1", "fusion"))
+        sites = (((0,), None, "s0"), ((0, 1), gadgets._A2C_CIRCUIT, "s1"))
         # the rules have no key for the readable branches, but the
         # impossible pattern is found first
         with pytest.raises(ConsistencyError):
@@ -284,7 +321,7 @@ class TestDecide:
 
     def test_second_site_modes_are_checked_before_any_decision(self):
         psi = states.two_qubit(1, 1j, -1, 0.5)
-        sites = (((0,), None, "s0", "raw"), ((1,), None, "s1", "raw"))
+        sites = (((0,), None, "s0"), ((1,), None, "s1"))
         with pytest.raises(ValueError, match="out of range"):
             _readout(psi, sites, {})
 
@@ -301,15 +338,13 @@ class TestDecide:
 
 class TestFeedForward:
     def test_elements_applied_on_keep(self):
-        ens = measure_nr(
-            states.phi_plus(3), (2,), site="d", site_kind="raw"
-        )
+        ens = measure_nr(states.phi_plus(3), (2,), site="d")
         rules = {"1": RuleAction(elements=(pdps(0, math.pi),))}
         out = apply_feed_forward(ens, rules)
         assert all(b.disposition == "keep" for b in out.branches)
 
     def test_discard_skips_elements(self):
-        ens = measure_nr(PureState.vacuum(1), (0,), site="d", site_kind="raw")
+        ens = measure_nr(PureState.vacuum(1), (0,), site="d")
         rules = {"0": RuleAction(elements=(pdps(0, math.pi),), disposition="discard")}
         out = apply_feed_forward(ens, rules)
         assert out.branches[0].disposition == "discard"
@@ -344,7 +379,7 @@ class TestRuleAction:
         elements = (pr(1, 0.3), pdps(3, 1.0))
         with pytest.raises(ValueError) as expected:
             apply_circuit(psi, elements)
-        ens = measure_nr(psi.tensor(PureState.vacuum(1)), (2,), site="d", site_kind="raw")
+        ens = measure_nr(psi.tensor(PureState.vacuum(1)), (2,), site="d")
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             apply_feed_forward(ens, {"0": RuleAction(elements)})
 

@@ -201,7 +201,7 @@ class TestDescriptors:
     )
     def test_json_keys_the_kind_does_not_read_rejected(self, data, message):
         with pytest.raises(ValueError, match=message):
-            ElementDescriptor.from_json_dict(data, one_based=True)
+            ElementDescriptor.from_json_dict(data)
 
     def test_json_descriptor_must_be_an_object(self):
         with pytest.raises(TypeError, match="must be an object"):
@@ -231,9 +231,11 @@ class TestDescriptors:
 
     def test_one_based_rendering(self):
         desc = pbs(0, 4)
-        data = desc.to_json_dict(one_based=True)
+        data = desc.to_json_dict()
         assert data["targets"] == [1, 5]
-        assert ElementDescriptor.from_json_dict(data, one_based=True) == desc
+        assert ElementDescriptor.from_json_dict(data) == desc
+        with pytest.raises(ValueError, match="targets are 1-based"):
+            ElementDescriptor.from_json_dict({"kind": "PBS", "targets": [0, 1]})
 
     @pytest.mark.parametrize("make", [pr, ps, pdps])
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])

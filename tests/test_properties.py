@@ -158,10 +158,10 @@ def test_trace_out_preserves_weight(psi, mode):
 @given(psi=sparse_states(modes=st.just(3)), mode=st.integers(0, 2))
 @settings(max_examples=200, deadline=None)
 def test_measurement_weights_complete(psi, mode):
-    out = measure_nr(psi, (mode,), site="det", site_kind="raw")
+    out = measure_nr(psi, (mode,), site="det")
     assert abs(out.total_weight - psi.norm2) <= TOL
     for branch in out.branches:
-        assert branch.state.is_normalized(TOL)
+        assert branch.state.is_normalized()
 
 
 PASSTHROUGH = {
@@ -271,30 +271,30 @@ def test_two_rail_transform_matches_direct_expansion(psi, pair, u):
 # -- detector readout ---------------------------------------------------------------
 
 
-def _pid_reference(state, modes, site, kind):
+def _pid_reference(state, modes, site):
     split, fresh = pid_split(state, modes[0])
-    return measure_nr(split, (modes[0], fresh), site, kind)
+    return measure_nr(split, (modes[0], fresh), site)
 
 
-def _ecc_reference(state, modes, site, kind):
+def _ecc_reference(state, modes, site):
     pre, rails = gadgets.ecc_optics(state, *modes)
-    return measure_nr(pre, rails, site, kind)
+    return measure_nr(pre, rails, site)
 
 
-def _a2c_reference(state, modes, site, kind):
+def _a2c_reference(state, modes, site):
     mode_x, mode_y = modes
     split, rail_vx = pid_split(apply_bs(state, mode_x, mode_y), mode_x)
     split, rail_vy = pid_split(split, mode_y)
-    return measure_nr(split, (mode_x, mode_y, rail_vx, rail_vy), site, kind)
+    return measure_nr(split, (mode_x, mode_y, rail_vx, rail_vy), site)
 
 
-# Each site's circuit, its site kind, its number of measured modes, and the
+# Each site's circuit, its number of measured modes, and the
 # site's optics written independently as element calls on the whole state
 # (``pid_split``, ``ecc_optics``) followed by ``measure_nr``.
 READOUT_SITES = {
-    "pid": (detection._PID_CIRCUIT, "pid", 1, _pid_reference),
-    "ecc": (gadgets._ECC_CIRCUIT, "fusion", 2, _ecc_reference),
-    "a2c": (gadgets._A2C_CIRCUIT, "fusion", 2, _a2c_reference),
+    "pid": (detection._PID_CIRCUIT, 1, _pid_reference),
+    "ecc": (gadgets._ECC_CIRCUIT, 2, _ecc_reference),
+    "a2c": (gadgets._A2C_CIRCUIT, 2, _a2c_reference),
 }
 
 readout_occupancies = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
@@ -317,18 +317,16 @@ def readout_states(draw):
 @given(data=st.data(), psi=readout_states())
 @settings(max_examples=100, deadline=None)
 def test_readout_matches_optics_then_measurement(name, data, psi):
-    circuit, site_kind, k, reference = READOUT_SITES[name]
+    circuit, k, reference = READOUT_SITES[name]
     modes = tuple(data.draw(st.permutations(range(psi.modes)))[:k])
-    # raw labels never raise, so every draw of those compares branches
-    kind = data.draw(st.sampled_from([site_kind, "raw"]))
     try:
-        expected = reference(psi, modes, "s", kind).branches
+        expected = reference(psi, modes, "s").branches
     except ConsistencyError:  # three or more clicks at a fusion site
         event("inconsistent")
         with pytest.raises(ConsistencyError):
-            _readout(psi, ((modes, circuit, "s", kind),))
+            _readout(psi, ((modes, circuit, "s"),))
         return
-    got = _readout(psi, ((modes, circuit, "s", kind),)).branches
+    got = _readout(psi, ((modes, circuit, "s"),)).branches
     # same sectors in the same order: records, supports and amplitudes agree
     assert [b.record for b in got] == [b.record for b in expected]
     for mine, ref in zip(got, expected):
@@ -401,11 +399,11 @@ def test_deciding_readout_matches_composition(first, data, psi):
     names = [first, second][: data.draw(st.integers(1, 2))]
     sites, left = [], psi.modes
     for i, name in enumerate(names):
-        circuit, site_kind, k, _reference = READOUT_SITES[name]
+        circuit, k, _reference = READOUT_SITES[name]
         if k > left:
             break
         modes = tuple(data.draw(st.permutations(range(left)))[:k])
-        sites.append((modes, circuit, f"s{i}", data.draw(st.sampled_from([site_kind, "raw"]))))
+        sites.append((modes, circuit, f"s{i}"))
         left -= k
     event(f"{len(sites)} sites")
     try:
