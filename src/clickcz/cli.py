@@ -88,6 +88,8 @@ class ExperimentConfig:
                 raise ConfigError(f"--samples must be at most 2**63 - 1, got {self.samples}")
             if self.seed is None:
                 raise ConfigError("sample mode requires --seed")
+            if self.seed < 0:
+                raise ConfigError(f"--seed must be non-negative, got {self.seed}")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"format must be 'json' or 'csv', got {self.fmt!r}")
         if self.fmt == "csv" and self.emit_states:

@@ -26,6 +26,7 @@ from .fock import (
     OutcomeEvent,
     PRUNE_EPS,
     PureState,
+    _agree,
     _integer,
     total_photons,
 )
@@ -247,8 +248,8 @@ def _decide(
     silent keep; ``rules=None`` keeps every branch as read.
 
     ``corrected`` maps ``id(action)`` to the (state, corrected state) pairs
-    of the branches of one readout decided before: a state whose amplitudes
-    equal (``==``) an earlier one's under the same action gets that
+    of the branches of one readout decided before: a state that agrees
+    (``_agree``) with an earlier one under the same action gets that
     corrected state back.
     """
     if rules is None:
@@ -259,7 +260,7 @@ def _decide(
     if action.disposition == "keep" and action.elements:
         done = corrected.setdefault(id(action), [])
         for before, after in done:
-            if before._amps == state._amps:
+            if _agree(before, state):
                 state = after
                 break
         else:
@@ -371,8 +372,9 @@ def pid(
     """Polarization-independent detection of one mode with feed-forward.
 
     The mode is split into two rails, both rails are measured with bucket
-    detectors, the rule's corrective elements run per branch, and the two
-    measured rails disappear from the surviving states.  Corrective element
-    targets refer to post-measurement mode indices.
+    detectors, the rule's corrective elements run once per distinct kept
+    state and action, and the two measured rails disappear from the
+    surviving states.  Corrective element targets refer to post-measurement
+    mode indices.
     """
     return _readout(state, (((mode,), _PID_CIRCUIT, site),), rules)

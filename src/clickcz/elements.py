@@ -70,18 +70,9 @@ class ElementDescriptor:
             elif not math.isfinite(angle):
                 raise ValueError(f"{name} must be finite, got {angle!r}")
 
-    def to_json_dict(self) -> dict:
-        """The circuit-file form: targets are 1-based."""
-        out: dict = {"kind": self.kind, "targets": [t + 1 for t in self.targets]}
-        if self.theta is not None:
-            out["theta"] = self.theta
-        if self.phi is not None:
-            out["phi"] = self.phi
-        return out
-
     @staticmethod
     def from_json_dict(data: Mapping) -> "ElementDescriptor":
-        """Load the ``to_json_dict`` form; a key it does not write raises ``ValueError``."""
+        """Load the circuit-file form (1-based targets); an unknown key raises ``ValueError``."""
         if not isinstance(data, Mapping):
             raise TypeError(f"an element descriptor must be an object, got {data!r}")
         unknown = [key for key in data if key not in _JSON_KEYS]

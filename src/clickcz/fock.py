@@ -242,10 +242,8 @@ class PureState:
             raise ModeMismatchError(
                 f"inner product between {self.modes}- and {other.modes}-mode states"
             )
-        small, big = self._amps, other._amps
-        if len(big) < len(small):
-            return sum((big[v].conjugate() * small[v] for v in big if v in small), 0j).conjugate()
-        return sum((small[v].conjugate() * big[v] for v in small if v in big), 0j)
+        amps = other._amps
+        return sum((a.conjugate() * amps[v] for v, a in self._amps.items() if v in amps), 0j)
 
     def equal_up_to_global_phase(self, other: "PureState") -> bool:
         """True iff |⟨self|other⟩| ≥ 1 − NORM_TOL. Both states must be normalized."""
@@ -320,37 +318,18 @@ def creation_apply(state: PureState, mode: int, rail: str) -> PureState:
 
 
 def _agree(a: PureState, b: PureState) -> bool:
-    """Same modes, cap and support, and every amplitude within PRUNE_EPS."""
+    """The one sameness test: same modes, cap and support, every amplitude within PRUNE_EPS."""
     amps = b._amps
     if a.modes != b.modes or a.photon_cap != b.photon_cap or len(a._amps) != len(amps):
         return False
+    if a._amps == amps:
+        return True
     # equal sizes, so every key of ``a`` found in ``b`` means equal supports
     for vec, amp in a._amps.items():
         other = amps.get(vec)
         if other is None or abs(amp - other) >= PRUNE_EPS:
             return False
     return True
-
-
-def _once_per_state(stage: Callable[[PureState], Ensemble]) -> Callable[[PureState], Ensemble]:
-    """``stage`` wrapped to run once per distinct state.
-
-    A state that agrees (``_agree``) with one already staged through this
-    wrapper gets that earlier result back, the same object; ``stage`` must
-    therefore be a pure function of its input. The wrapper keeps its states
-    for as long as it lives, so make one per chain step.
-    """
-    staged: list[tuple[PureState, Ensemble]] = []
-
-    def once(state: PureState) -> Ensemble:
-        for seen, result in staged:
-            if _agree(seen, state):
-                return result
-        result = stage(state)
-        staged.append((state, result))
-        return result
-
-    return once
 
 
 # -- measurement records and ensembles -----------------------------------------
@@ -413,22 +392,28 @@ class Ensemble:
         and the stage branch's disposition; every parent not ``"keep"`` passes
         through unchanged.
 
-        The stage runs once per distinct kept state (``_once_per_state``):
-        a parent whose state agrees with one already staged in this call
-        (same modes, photon cap and support, every amplitude within
-        ``PRUNE_EPS``) reuses that result. ``stage`` must therefore be a pure
-        function of its input.
+        The stage runs once per distinct kept state: a parent whose state
+        agrees (``_agree``: same modes, photon cap and support, every
+        amplitude within ``PRUNE_EPS``) with one already staged in this call
+        reuses that result, the same objects. ``stage`` must therefore be a
+        pure function of its input.
         """
         out: list[Branch] = []
-        once = _once_per_state(stage)
+        staged: list[tuple[PureState, Ensemble]] = []
         for parent in self.branches:
             if parent.disposition != "keep":
                 out.append(parent)
                 continue
+            for seen, result in staged:
+                if _agree(seen, parent.state):
+                    break
+            else:
+                result = stage(parent.state)
+                staged.append((parent.state, result))
             weight, record = parent.weight, parent.record
             out += [
                 Branch(weight * b.weight, b.state, record + b.record, b.disposition)
-                for b in once(parent.state).branches
+                for b in result.branches
             ]
         return Ensemble(tuple(out))
 

@@ -169,8 +169,9 @@ class TestConfigValidation:
             ({"mode": "bogus"}, "mode must be 'enumerate' or 'sample'"),
             ({"fmt": "xml"}, "format must be 'json' or 'csv'"),
             ({"mode": "sample", "samples": 0, "seed": 1}, "requires --samples >= 1"),
+            ({"mode": "sample", "samples": 10, "seed": -1}, "--seed must be non-negative, got -1"),
         ],
-        ids=["experiment", "mode", "format", "zero-samples"],
+        ids=["experiment", "mode", "format", "zero-samples", "negative-seed"],
     )
     def test_bad_value_raises(self, overrides, message):
         with pytest.raises(ConfigError, match=re.escape(message)):

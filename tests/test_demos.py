@@ -1,11 +1,15 @@
-"""Smoke test: every narrative script under ``demos/`` runs to completion."""
+"""Smoke test: every narrative script under ``demos/`` and every Python block
+of the README runs to completion."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 def test_demos_exist():
@@ -15,4 +19,14 @@ def test_demos_exist():
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert blocks
+    # one namespace, so a block may use what an earlier one defined
+    namespace = {"__name__": "__main__"}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
     assert capsys.readouterr().out

@@ -309,6 +309,20 @@ class TestDecide:
         # only a kept branch is corrected
         assert (branch.state is psi) == (disposition == "discard")
 
+    def test_agreeing_state_gets_the_corrected_state_back(self):
+        psi = PureState(1, {(H,): 0.6, (V,): 0.8})
+        close = PureState(1, {(H,): 0.6 + PRUNE_EPS / 2, (V,): 0.8})
+        assert close.items() != psi.items()
+        rules = {"25": RuleAction(elements=(pdps(0, math.pi),))}
+        corrected: dict = {}
+        first = _decide(0.5, psi, self.RECORD, rules, "25", corrected)
+        again = _decide(0.5, close, self.RECORD, rules, "25", corrected)
+        assert first.state is not psi
+        assert again.state is first.state
+        # a state further off than PRUNE_EPS is corrected on its own
+        far = PureState(1, {(H,): 0.6 + 2 * PRUNE_EPS, (V,): 0.8})
+        assert _decide(0.5, far, self.RECORD, rules, "25", corrected).state is not first.state
+
     def test_every_site_is_read_before_any_branch_is_decided(self):
         # the first site's survivors are read in sector order: one photon in
         # each fused mode (two clicks), then two photons and one (three)

@@ -224,16 +224,13 @@ class TestDescriptors:
         assert desc.targets == (0, 1)
         assert hash(desc) == hash(pbs(0, 1))
 
-    def test_json_roundtrip(self):
-        desc = pr(3, math.pi / 2)
-        again = ElementDescriptor.from_json_dict(desc.to_json_dict())
-        assert again == desc
+    def test_circuit_file_dict_loads(self):
+        data = {"kind": "PR", "targets": [4], "theta": math.pi / 2}
+        assert ElementDescriptor.from_json_dict(data) == pr(3, math.pi / 2)
 
-    def test_one_based_rendering(self):
-        desc = pbs(0, 4)
-        data = desc.to_json_dict()
-        assert data["targets"] == [1, 5]
-        assert ElementDescriptor.from_json_dict(data) == desc
+    def test_targets_are_one_based(self):
+        data = {"kind": "PBS", "targets": [1, 5]}
+        assert ElementDescriptor.from_json_dict(data) == pbs(0, 4)
         with pytest.raises(ValueError, match="targets are 1-based"):
             ElementDescriptor.from_json_dict({"kind": "PBS", "targets": [0, 1]})
 

@@ -13,7 +13,7 @@ from clickcz.fock import (
     OutcomeEvent,
     PRUNE_EPS,
     PureState,
-    _once_per_state,
+    _agree,
     creation_apply,
 )
 from clickcz.detection import trace_out
@@ -140,6 +140,13 @@ class TestInnerProduct:
         b = PureState(1, {(H,): 0.6, (V,): 0.8})
         assert a.inner_product(b) == pytest.approx(-0.6j)
         assert b.inner_product(a) == pytest.approx(0.6j)
+
+    def test_swapped_order_is_the_conjugate(self):
+        a = states.t1_prime()  # four terms
+        vec, amp = a.items()[0]
+        b = PureState(a.modes, {vec: 0.6j, ((1, 0), (1, 0), (0, 0), (0, 0)): 0.8})
+        assert abs(a.inner_product(b) - b.inner_product(a).conjugate()) <= 1e-15
+        assert abs(a.inner_product(b) - amp.conjugate() * 0.6j) <= 1e-15
 
 
 class TestEmptySums:
@@ -370,27 +377,30 @@ class TestDispositionCarried:
 
 
 class TestOncePerState:
-    """``_once_per_state`` runs a stage once per distinct state."""
+    """``Ensemble.then`` runs a stage once per distinct kept state."""
 
     @staticmethod
-    def _once() -> tuple[Callable[[PureState], Ensemble], list[PureState]]:
-        """A wrapped stage that returns a fresh ensemble, and the log of its runs."""
+    def _then(*parents: PureState) -> tuple[list[PureState], list[PureState]]:
+        """The state of each branch ``then`` builds, and the log of stage runs.
+
+        The stage returns its input as a pure ensemble, so each output state
+        is the object of the stage result it came from.
+        """
         calls: list[PureState] = []
 
         def stage(state: PureState) -> Ensemble:
             calls.append(state)
             return Ensemble.pure(state)
 
-        return _once_per_state(stage), calls
+        out = Ensemble(tuple(Branch(1.0, p) for p in parents)).then(stage)
+        return [b.state for b in out.branches], calls
 
     def test_agreeing_states_get_the_first_result(self):
-        once, calls = self._once()
         psi = states.ghz_plus()
         close = TestThen._nudged(psi, PRUNE_EPS / 2)
         assert close.items() != psi.items()
-        first = once(psi)
-        assert once(close) is first
-        assert once(psi) is first
+        out, calls = self._then(psi, close, psi)
+        assert all(state is psi for state in out)
         assert calls == [psi]
 
     @pytest.mark.parametrize(
@@ -408,15 +418,30 @@ class TestOncePerState:
         ids=["modes", "photon_cap", "support", "amplitude"],
     )
     def test_distinct_states_run_the_stage_again(self, other):
-        once, calls = self._once()
         psi = states.ghz_plus()
         changed = other(psi)
-        first = once(psi)
-        assert once(changed) is not first
+        out, calls = self._then(psi, changed, psi)
         assert calls == [psi, changed]
         # each result stays with its own state
-        assert once(psi) is first
-        assert len(calls) == 2
+        assert out[0] is psi and out[1] is changed and out[2] is psi
+
+
+class TestAgree:
+    """``_agree`` is the one test of "the same state"."""
+
+    def test_separately_built_equal_states_agree(self):
+        psi = states.ghz_plus()
+        a, b = PureState(psi.modes, dict(psi.items())), PureState(psi.modes, dict(psi.items()))
+        assert a is not b and a._amps is not b._amps
+        assert _agree(a, b) and _agree(b, a)
+
+    def test_equal_amplitudes_with_another_cap_disagree(self):
+        psi = states.ghz_plus()
+        terms = dict(psi.items())
+        a = PureState(psi.modes, terms)
+        b = PureState(psi.modes, terms, photon_cap=psi.photon_cap + 1)
+        assert a._amps == b._amps
+        assert not _agree(a, b) and not _agree(b, a)
 
 
 class TestBranchRecord:

@@ -453,35 +453,34 @@ class TestReadoutInPlace:
 
 
 class TestOneStagingHelper:
-    """``Ensemble.then`` stages through ``fock._once_per_state``; the gate's
+    """``Ensemble.then`` stages once per distinct kept state; the gate's
     readout reads every survivor of its first fusion directly."""
 
     def test_gate_readout_and_pipeline_then(self, monkeypatch):
         reads = _counting(monkeypatch, detection, "_read")
-        staged = []
-        helper = fock._once_per_state
+        runs = []
+        then = fock.Ensemble.then
 
-        def counting(stage):
-            once = helper(stage)
+        def counting(ensemble, stage):
+            def counted(state):
+                runs.append(stage.__name__)
+                return stage(state)
 
-            def stage_once(state):
-                staged.append(state)
-                return once(state)
+            return then(ensemble, counted)
 
-            return stage_once
-
-        monkeypatch.setattr(fock, "_once_per_state", counting)
+        monkeypatch.setattr(fock.Ensemble, "then", counting)
         psi = states.two_qubit(1, 1j, -1, 0.5)
         cz_gate(psi)
         # the first fusion reads the input once, the second each of its 8 survivors
         assert len(reads) == 1 + 8
-        assert staged == []
+        assert runs == []
         reads.clear()
         cz_full_pipeline(psi)
         # one B2G readout, one filter per distinct register state, one gate
         assert len(reads) == 1 + 4 + 9
-        # g2a stages the 16 kept register pairs, the gate the 16 kept ancillas
-        assert len(staged) == 16 + 16
+        # g2a's 16 kept register pairs hold 4 distinct states, and the
+        # gate's 16 kept ancillas agree
+        assert runs == ["convert"] * 4 + ["<lambda>"]
 
 
 class TestReadoutModes:
