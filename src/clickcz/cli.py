@@ -22,21 +22,8 @@ from pathlib import Path
 from . import oracle, states
 from .detection import pid
 from .elements import ElementDescriptor, apply_circuit
-from .fock import NORM_TOL, PureState, SimulatorError
+from .fock import NORM_TOL, PureState, SimulatorError, _integer
 from .gadgets import B2G_RULES
-
-# The config fields each experiment reads besides --out; the gadget
-# experiments read --samples and --seed with --mode sample only. A run-circuit
-# report has no outcome rows, so it has no csv form and reads no --format.
-_GADGET_FIELDS = ("mode", "input_path", "emit_states", "fmt")
-_READS = {
-    **dict.fromkeys(oracle.GADGETS, _GADGET_FIELDS),
-    "pid-chain": ("depth", "fmt"),
-    "verify": ("fmt",),
-    "run-circuit": ("input_path", "circuit_path"),
-}
-EXPERIMENTS = tuple(_READS)
-
 
 # Enumerated probabilities are trusted to NORM_TOL (1e-12), not to the last bit.
 _SAMPLING_DECIMALS = 12
@@ -64,9 +51,16 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Reject bad values, and set fields that the experiment does not read."""
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        reads = {"experiment", "out_path", *_READS[self.experiment]}
+        try:
+            for name in ("samples", "seed"):
+                if getattr(self, name) is not None:
+                    _integer(getattr(self, name), "--" + name)
+            _integer(self.depth, "--depth")
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from None
+        reads = {"experiment", "out_path", *_EXPERIMENTS[self.experiment][0]}
         if "mode" in reads and self.mode == "sample":
             reads |= {"samples", "seed"}
         for f in fields(self):
@@ -94,6 +88,11 @@ class ExperimentConfig:
             raise ConfigError(f"format must be 'json' or 'csv', got {self.fmt!r}")
         if self.fmt == "csv" and self.emit_states:
             raise ConfigError("--format csv has no room for --emit-states; use json")
+        if self.experiment == "pid-chain" and not 2 <= self.depth <= 8:
+            raise ConfigError(f"pid-chain depth must be in 2..8, got {self.depth}")
+        if self.experiment == "run-circuit" and None in (self.input_path, self.circuit_path):
+            flag = "--input" if self.input_path is None else "--circuit"
+            raise ConfigError(f"run-circuit requires {flag}")
 
 
 def _float_text(x: float) -> str:
@@ -186,34 +185,22 @@ def _write_json(
 
 @dataclass
 class RunReport:
-    """A run's outcomes and extras; entries of ``states`` may share one
-    ``state`` dict when their kept states are the same object."""
+    """A run's outcomes and extras. A sampled run's ``samples`` and ``seed``
+    and the ``--emit-states`` list ``success_states`` are extras; entries of
+    that list may share one ``state`` dict when their kept states are the
+    same object."""
 
     experiment: str
     mode: str
     outcomes: list[dict] = field(default_factory=list)
     success_probability: float | None = None
     extras: dict = field(default_factory=dict)
-    states: list[dict] | None = None
-    samples: int | None = None
-    seed: int | None = None
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "experiment": self.experiment,
-            "mode": self.mode,
-            "outcomes": self.outcomes,
-        }
+        out = {"experiment": self.experiment, "mode": self.mode, "outcomes": self.outcomes}
         if self.success_probability is not None:
             out["success_probability"] = self.success_probability
-        if self.samples is not None:
-            out["samples"] = self.samples
-        if self.seed is not None:
-            out["seed"] = self.seed
-        out.update(self.extras)
-        if self.states is not None:
-            out["success_states"] = self.states
-        return out
+        return out | self.extras
 
     def to_json(self) -> str:
         return _dumps_indented(self.to_json_dict()) + "\n"
@@ -284,18 +271,19 @@ def _probability_outcomes(aggregated: list[tuple[str, str, float]]) -> list[dict
     ]
 
 
-def _gadget_report(config: ExperimentConfig, input_state: PureState | None) -> RunReport:
+def _gadget_report(config: ExperimentConfig) -> tuple[RunReport, int]:
+    input_state = _load_state(config.input_path) if config.input_path else None
     result = oracle.GADGETS[config.experiment](input_state)
     rows = oracle.outcome_rows(result.ensemble)
     aggregated = oracle.aggregate_probabilities(rows)
-    keep_probability = sum((p for _, d, p in aggregated if d == "keep"), 0.0)
+    success = sum((p for _, d, p in aggregated if d == "keep"), 0.0)
 
     extras: dict = {}
-    success = keep_probability
     if config.experiment == "b2g":
         # heralded keep is 3/4; a pure GHZ state is extracted half the time
+        extras["keep_probability"] = success
         ghz = states.ghz_plus()
-        pure_ghz = sum(
+        success = sum(
             (
                 r.probability
                 for r in rows
@@ -305,36 +293,25 @@ def _gadget_report(config: ExperimentConfig, input_state: PureState | None) -> R
             ),
             0.0,
         )
-        extras["keep_probability"] = keep_probability
-        success = pure_ghz
     elif config.experiment == "pipeline":
         extras["ancilla_probability"] = result.ancilla_probability
 
-    report = RunReport(
-        experiment=config.experiment,
-        mode=config.mode,
-        success_probability=success,
-        extras=extras,
-    )
     if config.mode == "sample":
-        report.samples = config.samples
-        report.seed = config.seed
-        report.outcomes = _sample_outcomes(aggregated, config.samples, config.seed)
+        extras.update(samples=config.samples, seed=config.seed)
+        outcomes = _sample_outcomes(aggregated, config.samples, config.seed)
     else:
-        report.outcomes = _probability_outcomes(aggregated)
+        outcomes = _probability_outcomes(aggregated)
     if config.emit_states:
         # kept branches share state objects; render each one once
         kept = [r for r in rows if r.disposition == "keep"]
         distinct = {id(r.state): r.state for r in kept}
         rendered = {key: state.to_json_dict() for key, state in distinct.items()}
-        report.states = [{"label": r.label, "state": rendered[id(r.state)]} for r in kept]
-    return report
+        extras["success_states"] = [{"label": r.label, "state": rendered[id(r.state)]} for r in kept]
+    return RunReport(config.experiment, config.mode, outcomes, success, extras), 0
 
 
-def _pid_chain_report(config: ExperimentConfig) -> RunReport:
+def _pid_chain_report(config: ExperimentConfig) -> tuple[RunReport, int]:
     d = config.depth
-    if not 2 <= d <= 8:
-        raise ConfigError(f"pid-chain depth must be in 2..8, got {d}")
     ensemble = pid(states.phi_plus(d), d - 1, B2G_RULES, site="pid-chain")
     target = states.phi_plus(d - 1)
     fidelities = [abs(b.state.inner_product(target)) ** 2 for b in ensemble.branches]
@@ -345,10 +322,10 @@ def _pid_chain_report(config: ExperimentConfig) -> RunReport:
         outcomes=_probability_outcomes(aggregated),
         success_probability=ensemble.keep_weight,
         extras={"depth": d, "fidelity": min([1.0, *fidelities])},
-    )
+    ), 0
 
 
-def _verify_report() -> tuple[RunReport, bool]:
+def _verify_report(config: ExperimentConfig) -> tuple[RunReport, int]:
     reports = oracle.verify_all_tables()
     outcomes = []
     for table in reports:
@@ -367,14 +344,10 @@ def _verify_report() -> tuple[RunReport, bool]:
         outcomes=outcomes,
         extras={"all_matched": all_matched},
     )
-    return report, all_matched
+    return report, 0 if all_matched else 3
 
 
-def _run_circuit_report(config: ExperimentConfig) -> RunReport:
-    if config.input_path is None:
-        raise ConfigError("run-circuit requires --input")
-    if config.circuit_path is None:
-        raise ConfigError("run-circuit requires --circuit")
+def _run_circuit_report(config: ExperimentConfig) -> tuple[RunReport, int]:
     state = _load_state(config.input_path)
     circuit = _load_circuit(config.circuit_path)
     final = apply_circuit(state, circuit)
@@ -382,29 +355,28 @@ def _run_circuit_report(config: ExperimentConfig) -> RunReport:
         experiment="run-circuit",
         mode="enumerate",
         extras={"final_state": final.to_json_dict(), "norm2": final.norm2},
-    )
+    ), 0
+
+
+# Each experiment's config fields besides --out, and its builder, which returns
+# the report and the exit code. The gadget experiments read --samples and
+# --seed with --mode sample only. A run-circuit report has no outcome rows, so
+# it has no csv form and reads no --format.
+_EXPERIMENTS = {
+    **dict.fromkeys(
+        oracle.GADGETS, (("mode", "input_path", "emit_states", "fmt"), _gadget_report)
+    ),
+    "pid-chain": (("depth", "fmt"), _pid_chain_report),
+    "verify": (("fmt",), _verify_report),
+    "run-circuit": (("input_path", "circuit_path"), _run_circuit_report),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run(config: ExperimentConfig) -> tuple[RunReport, int]:
     """Execute one experiment; returns the report and the process exit code."""
     config.validate()
-    if config.experiment == "pid-chain":
-        return _pid_chain_report(config), 0
-    if config.experiment == "verify":
-        report, matched = _verify_report()
-        return report, 0 if matched else 3
-    if config.experiment == "run-circuit":
-        return _run_circuit_report(config), 0
-    input_state = _load_state(config.input_path) if config.input_path else None
-    return _gadget_report(config, input_state), 0
-
-
-def _write_report(report: RunReport, config: ExperimentConfig) -> None:
-    text = report.to_csv() if config.fmt == "csv" else report.to_json()
-    if config.out_path:
-        Path(config.out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    return _EXPERIMENTS[config.experiment][1](config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,22 +404,18 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report, code = run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        elapsed = time.perf_counter() - started
+        text = report.to_csv() if config.fmt == "csv" else report.to_json()
+        if config.out_path:
+            Path(config.out_path).write_text(text)
+        else:
+            sys.stdout.write(text)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
-    except (SimulatorError, ValueError) as exc:
+    except (ConfigError, SimulatorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - started
-
-    try:
-        _write_report(report, config)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 4
 
     if report.success_probability is not None:
         print(

@@ -148,7 +148,8 @@ class _Circuit:
 
 @dataclass(frozen=True)
 class RuleAction(_Circuit):
-    """A feed-forward circuit with its disposition, ``"keep"`` or ``"discard"``."""
+    """A feed-forward circuit with its disposition, ``"keep"`` or ``"discard"``;
+    a discard is never corrected, so it takes no elements."""
 
     disposition: str = "keep"
 
@@ -156,6 +157,8 @@ class RuleAction(_Circuit):
         if self.disposition not in ("keep", "discard"):
             raise ValueError(f"disposition must be keep or discard, got {self.disposition!r}")
         super().__post_init__()
+        if self.disposition == "discard" and self.elements:
+            raise ValueError("a discard takes no corrective elements")
 
 
 # A feed-forward rule maps each reachable outcome label to its action.

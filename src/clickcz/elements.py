@@ -41,7 +41,7 @@ class ElementDescriptor:
 
     PR reads ``theta``, PS and PDPS read ``phi``, and BS and PBS read no
     angle; a missing angle, or one the kind does not read, raises
-    ``ValueError``.
+    ``ValueError``, and a boolean angle ``TypeError``.
     """
 
     kind: str
@@ -67,6 +67,8 @@ class ElementDescriptor:
                     raise ValueError(f"{self.kind} requires {name}")
             elif name != _ANGLE[self.kind]:
                 raise ValueError(f"{self.kind} takes no {name}, got {name}={angle!r}")
+            elif isinstance(angle, bool):
+                raise TypeError(f"{name} must be a number, got {angle!r}")
             elif not math.isfinite(angle):
                 raise ValueError(f"{name} must be finite, got {angle!r}")
 

@@ -89,8 +89,8 @@ class TestEnumerateReports:
 
     def test_emit_states(self):
         report, _ = run(ExperimentConfig(experiment="a2c", emit_states=True))
-        assert report.states
-        for entry in report.states:
+        assert report.extras["success_states"]
+        for entry in report.extras["success_states"]:
             PureState.from_json_dict(entry["state"])
 
 
@@ -170,8 +170,29 @@ class TestConfigValidation:
             ({"fmt": "xml"}, "format must be 'json' or 'csv'"),
             ({"mode": "sample", "samples": 0, "seed": 1}, "requires --samples >= 1"),
             ({"mode": "sample", "samples": 10, "seed": -1}, "--seed must be non-negative, got -1"),
+            # a library caller's non-integer fails here, not in numpy after the run
+            ({"mode": "sample", "samples": 10, "seed": 1.5}, "--seed must be an integer, got 1.5"),
+            ({"mode": "sample", "samples": 10, "seed": True}, "--seed must be an integer, got True"),
+            ({"mode": "sample", "samples": "10", "seed": 1}, "--samples must be an integer, got '10'"),
+            ({"experiment": "pid-chain", "depth": 2.5}, "--depth must be an integer, got 2.5"),
+            ({"experiment": "pid-chain", "depth": None}, "--depth must be an integer, got None"),
+            ({"experiment": "pid-chain", "depth": 9}, "pid-chain depth must be in 2..8, got 9"),
+            ({"experiment": "run-circuit"}, "run-circuit requires --input"),
         ],
-        ids=["experiment", "mode", "format", "zero-samples", "negative-seed"],
+        ids=[
+            "experiment",
+            "mode",
+            "format",
+            "zero-samples",
+            "negative-seed",
+            "float-seed",
+            "bool-seed",
+            "str-samples",
+            "float-depth",
+            "none-depth",
+            "depth-range",
+            "run-circuit-input",
+        ],
     )
     def test_bad_value_raises(self, overrides, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -315,9 +336,9 @@ class TestReportWriter:
         report, _ = run(ExperimentConfig("pipeline", emit_states=True))
         # 256 kept rows share 8 state objects: Ensemble.then's reuse leaves 16
         # kept gate branches, and the readout corrects each pair's state once
-        assert len(report.states) == 256
+        assert len(report.extras["success_states"]) == 256
         assert len(calls) == len(set(calls)) == 8
-        assert len({id(entry["state"]) for entry in report.states}) == 8
+        assert len({id(entry["state"]) for entry in report.extras["success_states"]}) == 8
 
     @pytest.mark.parametrize("experiment", ["cz", "pipeline"])
     def test_outcome_rows_order_unchanged(self, experiment):

@@ -302,7 +302,8 @@ class TestDecide:
     @pytest.mark.parametrize("disposition", ["keep", "discard"])
     def test_rule_sets_the_disposition(self, disposition):
         psi = states.qubit(1, 0)
-        rules = {"25": RuleAction(elements=(pdps(0, math.pi),), disposition=disposition)}
+        elements = (pdps(0, math.pi),) if disposition == "keep" else ()
+        rules = {"25": RuleAction(elements=elements, disposition=disposition)}
         branch = _decide(0.5, psi, self.RECORD, rules, "25", {})
         assert branch.disposition == disposition
         assert branch.record is self.RECORD
@@ -358,10 +359,11 @@ class TestFeedForward:
         assert all(b.disposition == "keep" for b in out.branches)
 
     def test_discard_skips_elements(self):
-        ens = measure_nr(PureState.vacuum(1), (0,), site="d")
-        rules = {"0": RuleAction(elements=(pdps(0, math.pi),), disposition="discard")}
-        out = apply_feed_forward(ens, rules)
+        ens = measure_nr(states.qubit(1, 0).tensor(PureState.vacuum(1)), (1,), site="d")
+        out = apply_feed_forward(ens, {"0": RuleAction(disposition="discard")})
+        # a discard takes no elements, so its branch passes through as read
         assert out.branches[0].disposition == "discard"
+        assert out.branches[0].state is ens.branches[0].state
 
 
 class TestRuleAction:
@@ -369,6 +371,11 @@ class TestRuleAction:
         # a misspelt disposition used to count as kept and skip its elements
         with pytest.raises(ValueError, match="keep or discard"):
             RuleAction(elements=(pdps(0, math.pi),), disposition="Keep")
+
+    def test_discard_takes_no_elements(self):
+        # a discard's elements were never applied, so they were dropped unseen
+        with pytest.raises(ValueError, match="a discard takes no corrective elements"):
+            RuleAction(elements=(pdps(0, math.pi),), disposition="discard")
 
     def test_elements_stored_as_a_tuple(self):
         action = RuleAction(elements=[pdps(0, math.pi)])

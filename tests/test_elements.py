@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from clickcz.elements import (
@@ -212,6 +213,13 @@ class TestDescriptors:
         # a float used to fail deep in a kernel, and True passed as mode 1
         with pytest.raises(TypeError, match="target must be an integer"):
             pr(target, 0.3)
+
+    @pytest.mark.parametrize("make, name", [(pr, "theta"), (ps, "phi"), (pdps, "phi")])
+    def test_boolean_angle_rejected(self, make, name):
+        # True used to build an element equal to, and hashed as, angle 1.0
+        with pytest.raises(TypeError, match=f"{name} must be a number, got True"):
+            make(0, True)
+        assert make(0, np.float64(0.5)) == make(0, 0.5)
 
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -342,13 +342,16 @@ def test_readout_matches_optics_then_measurement(name, data, psi):
 
 @st.composite
 def rule_actions(draw, modes):
-    """A keep or discard action with up to three elements on ``modes`` modes.
+    """A keep action with up to three elements on ``modes`` modes, or a discard,
+    which takes none.
 
     Angles lie on a grid of π/2**20, so no amplitude lands within rounding
     of ``PRUNE_EPS``: the reference prunes after every element and the
     table once, so a term at the threshold could be kept by one and not
     the other. Tiny angles are pinned in ``test_detection.py``.
     """
+    if draw(st.booleans()):
+        return RuleAction(disposition="discard")
     elements = []
     for _ in range(draw(st.integers(0, 3)) if modes else 0):
         kind = draw(st.sampled_from(["PR", "PS", "PDPS", "BS", "PBS"][: 5 if modes > 1 else 3]))
@@ -359,7 +362,7 @@ def rule_actions(draw, modes):
         else:
             make = {"PR": pr, "PS": ps, "PDPS": pdps}[kind]
             elements.append(make(draw(st.integers(0, modes - 1)), angle))
-    return RuleAction(tuple(elements), draw(st.sampled_from(["keep", "discard"])))
+    return RuleAction(tuple(elements))
 
 
 def _chained(psi, sites):
