@@ -9,7 +9,7 @@ Run with: python3 demos/01_rails_and_elements.py
 
 import math
 
-from clickcz import PureState, creation_apply
+from clickcz.fock import PureState, creation_apply
 from clickcz.elements import apply_bs, apply_pbs, apply_pdps, apply_pr, apply_ps
 
 

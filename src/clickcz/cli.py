@@ -54,10 +54,10 @@ class ExperimentConfig:
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         try:
-            for name in ("samples", "seed"):
-                if getattr(self, name) is not None:
-                    _integer(getattr(self, name), "--" + name)
-            _integer(self.depth, "--depth")
+            # stored as Python ints, so a numpy integer reaches the report as one
+            for name in ("samples", "seed", "depth"):
+                if getattr(self, name) is not None or name == "depth":
+                    object.__setattr__(self, name, _integer(getattr(self, name), "--" + name))
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
         reads = {"experiment", "out_path", *_EXPERIMENTS[self.experiment][0]}

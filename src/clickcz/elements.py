@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,10 +29,8 @@ Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-KINDS = ("BS", "PBS", "PR", "PS", "PDPS")
-_ARITY = {"BS": 2, "PBS": 2, "PR": 1, "PS": 1, "PDPS": 1}
-# The one angle each kind reads; BS and PBS read none.
-_ANGLE = {"BS": None, "PBS": None, "PR": "theta", "PS": "phi", "PDPS": "phi"}
+# kind: (number of target modes, the one angle it reads; BS and PBS read none)
+_KINDS = dict(BS=(2, None), PBS=(2, None), PR=(1, "theta"), PS=(1, "phi"), PDPS=(1, "phi"))
 _JSON_KEYS = frozenset({"kind", "targets", "theta", "phi"})
 
 
@@ -41,7 +40,8 @@ class ElementDescriptor:
 
     PR reads ``theta``, PS and PDPS read ``phi``, and BS and PBS read no
     angle; a missing angle, or one the kind does not read, raises
-    ``ValueError``, and a boolean angle ``TypeError``.
+    ``ValueError``, and an angle that is a boolean (numpy's too) or not a
+    real number ``TypeError``.
     """
 
     kind: str
@@ -50,24 +50,23 @@ class ElementDescriptor:
     phi: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
+        arity, reads = _KINDS[self.kind]
         object.__setattr__(self, "targets", tuple(_integer(t, "a target") for t in self.targets))
         if min(self.targets, default=0) < 0:
             raise ValueError(f"targets must be non-negative, got {self.targets}")
-        if len(self.targets) != _ARITY[self.kind]:
-            raise ValueError(
-                f"{self.kind} takes {_ARITY[self.kind]} target(s), got {self.targets}"
-            )
+        if len(self.targets) != arity:
+            raise ValueError(f"{self.kind} takes {arity} target(s), got {self.targets}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"targets must be distinct, got {self.targets}")
         for name, angle in (("theta", self.theta), ("phi", self.phi)):
             if angle is None:
-                if name == _ANGLE[self.kind]:
+                if name == reads:
                     raise ValueError(f"{self.kind} requires {name}")
-            elif name != _ANGLE[self.kind]:
+            elif name != reads:
                 raise ValueError(f"{self.kind} takes no {name}, got {name}={angle!r}")
-            elif isinstance(angle, bool):
+            elif isinstance(angle, bool) or not isinstance(angle, numbers.Real):
                 raise TypeError(f"{name} must be a number, got {angle!r}")
             elif not math.isfinite(angle):
                 raise ValueError(f"{name} must be finite, got {angle!r}")

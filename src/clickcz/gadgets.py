@@ -142,12 +142,11 @@ _G2A_CONVERSION = (
 )
 
 # The filter's discards stand; kept outcomes are steered onto the ancilla.
+# Outcomes 5/6 and 3/4 each share one action, so agreeing states are corrected once.
 G2A_RULES = {
     **ECC_RULES,
-    "5": RuleAction(elements=(pdps(1, PI), pdps(2, PI)) + _G2A_CONVERSION),
-    "6": RuleAction(elements=(pdps(1, PI), pdps(2, PI)) + _G2A_CONVERSION),
-    "3": RuleAction(elements=(ps(0, PI / 2),) + _G2A_CONVERSION),
-    "4": RuleAction(elements=(ps(0, PI / 2),) + _G2A_CONVERSION),
+    **dict.fromkeys(("5", "6"), RuleAction(elements=(pdps(1, PI), pdps(2, PI)) + _G2A_CONVERSION)),
+    **dict.fromkeys(("3", "4"), RuleAction(elements=(ps(0, PI / 2),) + _G2A_CONVERSION)),
 }
 
 

@@ -198,6 +198,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(message)):
             ExperimentConfig(**{"experiment": "cz", **overrides}).validate()
 
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            ({"experiment": "cz", "mode": "sample", "samples": 10, "seed": 3}, "samples"),
+            ({"experiment": "cz", "mode": "sample", "samples": 10, "seed": 3}, "seed"),
+            ({"experiment": "pid-chain", "depth": 4}, "depth"),
+        ],
+        ids=["samples", "seed", "depth"],
+    )
+    def test_numpy_integer_reports_as_python_int(self, overrides, name):
+        config = ExperimentConfig(**{**overrides, name: np.int64(overrides[name])})
+        report, code = run(config)
+        assert code == 0
+        assert report.to_json() == run(ExperimentConfig(**overrides))[0].to_json()
+
 
 class TestSampling:
     def test_seed_required(self):

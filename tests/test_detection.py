@@ -31,7 +31,7 @@ from clickcz.fock import (
     PureState,
 )
 from clickcz.gadgets import B2G_RULES
-from clickcz import states
+from clickcz import states, tables
 
 from conftest import assert_states_equal, random_state
 
@@ -54,6 +54,12 @@ class TestInterpretPattern:
     )
     def test_two_click_shorthand(self, clicks, label):
         assert interpret_pattern(clicks) == label
+
+    @pytest.mark.parametrize("key", list(tables.SHORTHAND_KETS))
+    def test_shorthand_kets_read_as_their_labels(self, key):
+        # kets 1-6 are the two-click rail pairs, 7-10 two photons on one rail
+        label = key if int(key) <= 6 else "one-click"
+        assert detection._reading(tables.SHORTHAND_KETS[key])[1] == label
 
     def test_single_click_is_one_discard_class(self):
         for i in range(4):

@@ -219,6 +219,8 @@ class TestDescriptors:
         # True used to build an element equal to, and hashed as, angle 1.0
         with pytest.raises(TypeError, match=f"{name} must be a number, got True"):
             make(0, True)
+        with pytest.raises(TypeError, match=f"{name} must be a number, got "):
+            make(0, np.bool_(True))
         assert make(0, np.float64(0.5)) == make(0, 0.5)
 
     def test_negative_target_rejected(self):

@@ -251,6 +251,16 @@ class TestControlledPhase:
         assert len(by_action) == 8
         assert all(len(ids) == 1 for ids in by_action.values())
 
+    def test_g2a_outcomes_share_one_correction(self):
+        rules = gadgets.G2A_RULES
+        assert rules["5"] is rules["6"] and rules["3"] is rules["4"]
+        corrections = {id(a) for a in rules.values() if a.disposition == "keep" and a.elements}
+        assert len(corrections) == 2
+        # the four kept filter outcomes hold one corrected state per action
+        kept = g2a(states.ghz_plus().tensor(states.ghz_plus())).success_branches()
+        assert sorted(b.record[-1].label for b in kept) == ["3", "4", "5", "6"]
+        assert len({id(b.state) for b in kept}) == 2
+
     def test_superposition_input(self):
         psi = states.product_two_qubit((1, 1), (1, 1))
         target = states.controlled_phase_of(psi)

@@ -2,14 +2,18 @@
 module-level private name of the package somewhere in the package.
 
 No linter is a dependency of the project, so these walks are the check. The
-import walk exempts package ``__init__.py`` re-exports, ``from __future__``
-imports and lines marked ``# noqa: F401``.
+import walk exempts ``from __future__`` imports and lines marked
+``# noqa: F401``. The package itself binds only its submodules, so each
+public name has one import path, its defining module.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import clickcz
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src/clickcz").glob("*.py"))
@@ -17,7 +21,6 @@ MODULES = sorted(
     path
     for folder in ("src/clickcz", "tests", "demos")
     for path in (ROOT / folder).glob("*.py")
-    if path.name != "__init__.py"
 )
 
 
@@ -43,6 +46,15 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_binds_only_its_submodules():
+    names = {name for name in vars(clickcz) if not name.startswith("__")}
+    assert names
+    for name in names:
+        value = getattr(clickcz, name)
+        assert isinstance(value, types.ModuleType), name
+        assert value.__name__ == f"clickcz.{name}", name
 
 
 def test_walk_finds_an_unused_import():
