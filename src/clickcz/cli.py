@@ -36,6 +36,13 @@ class ConfigError(Exception):
     """Bad experiment configuration (exit code 2)."""
 
 
+def _flag(name: str) -> str:
+    """A config field's flag as typed: input_path is --input, emit_states
+    --emit-states, fmt --format."""
+    name = "format" if name == "fmt" else name.removesuffix("_path")
+    return "--" + name.replace("_", "-")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -60,16 +67,20 @@ class ExperimentConfig:
                     object.__setattr__(self, name, _integer(getattr(self, name), "--" + name))
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
+        # a string such as "false" is truthy, and Path() raises a bare TypeError
+        if not isinstance(self.emit_states, bool):
+            raise ConfigError(f"--emit-states must be a bool, got {self.emit_states!r}")
+        for name in ("input_path", "circuit_path", "out_path"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{_flag(name)} must be a str, got {value!r}")
         reads = {"experiment", "out_path", *_EXPERIMENTS[self.experiment][0]}
         if "mode" in reads and self.mode == "sample":
             reads |= {"samples", "seed"}
         for f in fields(self):
             if f.name in reads or getattr(self, f.name) == f.default:
                 continue
-            # the flag as typed: input_path is --input, emit_states --emit-states,
-            # fmt --format
-            name = "format" if f.name == "fmt" else f.name.removesuffix("_path")
-            flag = "--" + name.replace("_", "-")
+            flag = _flag(f.name)
             if "mode" in reads and f.name in ("samples", "seed"):
                 raise ConfigError(f"{flag} is read only with --mode sample")
             raise ConfigError(f"--experiment {self.experiment} does not read {flag}")

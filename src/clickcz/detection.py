@@ -169,11 +169,14 @@ class _Site(NamedTuple):
     """A site resolved against the width of the level it reads.
 
     The pickers split a term into the measured occupancy and the rest;
-    ``events`` maps each sector met to its ``OutcomeEvent``, built once.
+    ``events`` maps each sector met to its ``OutcomeEvent``, built once per
+    site, so a site resolved at module level builds each once per process.
+    The photon cap bounds it.
     """
 
     occ_of: Callable[[FockVector], tuple]
     rest_of: Callable[[FockVector], tuple]
+    width: int
     rest: int
     circuit: _Circuit | None
     name: str
@@ -184,7 +187,8 @@ def _resolve(site: tuple, width: int) -> _Site:
     """Check a (modes, circuit or None, name) site against ``width`` modes.
 
     A mode that is not an integer raises ``TypeError``, and one out of range
-    or repeated ``ValueError``, before any term is read.
+    or repeated ``ValueError``. A site whose modes are fixed is resolved once,
+    at module level; one whose modes are arguments, by its entry point.
     """
     modes, circuit, name = site
     modes = tuple(_integer(m, "a measured mode") for m in modes)
@@ -195,7 +199,7 @@ def _resolve(site: tuple, width: int) -> _Site:
         if not 0 <= m < width:
             raise ValueError(f"mode {m} out of range")
     rest = [i for i in range(width) if i not in measured]
-    return _Site(_picker(modes), _picker(rest), len(rest), circuit, name, {})
+    return _Site(_picker(modes), _picker(rest), width, len(rest), circuit, name, {})
 
 
 def _read(state: PureState, site: _Site) -> list[tuple[float, PureState, OutcomeEvent]]:
@@ -205,10 +209,14 @@ def _read(state: PureState, site: _Site) -> list[tuple[float, PureState, Outcome
     sectors left empty omitted. Every mode of a site circuit's ``image`` is
     a detector rail, in reporting order.
     """
-    occ_of, rest_of, rest, circuit, name, events = site
+    occ_of, rest_of, _width, rest, circuit, name, events = site
     sectors: dict[FockVector, dict[FockVector, complex]] = {}
     for vec, amp in state._amps.items():
-        sectors.setdefault(occ_of(vec), {})[rest_of(vec)] = amp
+        occ = occ_of(vec)
+        sub = sectors.get(occ)
+        if sub is None:
+            sub = sectors[occ] = {}
+        sub[rest_of(vec)] = amp
     if circuit is not None:
         groups, sectors = sectors, {}
         for occ, terms in groups.items():
@@ -233,7 +241,12 @@ def _read(state: PureState, site: _Site) -> list[tuple[float, PureState, Outcome
             mags = [m for m in mags if m >= PRUNE_EPS]
         weight = sum([m**2 for m in mags])
         scale = 1.0 / math.sqrt(weight)
-        post = PureState._trusted(rest, {v: a * scale for v, a in sub.items()}, cap)
+        amps = {v: a * scale for v, a in sub.items()}
+        if scale < 1.0:
+            # a sector of an unnormalized state: scaling down can push a kept
+            # term below PRUNE_EPS, and no larger scale can
+            amps = {v: a for v, a in amps.items() if abs(a) >= PRUNE_EPS}
+        post = PureState._pruned(rest, amps, cap)
         event = events.get(sector)
         if event is None:
             event = events[sector] = OutcomeEvent(name, *_reading(sector))
@@ -274,21 +287,25 @@ def _decide(
 
 
 def _readout(
-    state: PureState, sites: Sequence[tuple], rules: FeedForwardRule | None = None
+    state: PureState, sites: Sequence[_Site], rules: FeedForwardRule | None = None
 ) -> Ensemble:
-    """Read each site, a (modes, circuit or None, name) tuple, in turn.
+    """Read each resolved site in turn.
 
-    Each site is resolved once and reads every survivor of the one before,
-    with weights multiplied and labels joined into the rule key; the rules
-    decide each branch once, after every site is read: the sites read one
-    by one, then ``apply_feed_forward``, but every branch built once. Each
-    action corrects each distinct kept state once.
+    Each site reads every survivor of the one before, with weights
+    multiplied and labels joined into the rule key; the rules decide each
+    branch once, after every site is read: the sites read one by one, then
+    ``apply_feed_forward``, but every branch built once. Each action
+    corrects each distinct kept state once. A site resolved for another
+    width than the level it reads raises ``ValueError`` before any term is
+    read.
     """
-    level: list[tuple[float, PureState, tuple[OutcomeEvent, ...], str]] = [(1.0, state, (), "")]
     width = state.modes
     for site in sites:
-        site = _resolve(site, width)
+        if site.width != width:
+            raise ValueError(f"site {site.name!r} reads {site.width} modes, not {width}")
         width = site.rest
+    level: list[tuple[float, PureState, tuple[OutcomeEvent, ...], str]] = [(1.0, state, (), "")]
+    for site in sites:
         level = [
             (w * sw, post, rs + (e,), key + e.label)
             for w, parent, rs, key in level
@@ -310,7 +327,7 @@ def measure_nr(state: PureState, modes: Sequence[int], site: str) -> Ensemble:
     patterns are omitted. Labels follow the number of modes read, as
     ``interpret_pattern`` reads rails.
     """
-    return _readout(state, ((modes, None, site),))
+    return _readout(state, (_resolve((modes, None, site), state.modes),))
 
 
 def trace_out(ensemble: Ensemble, mode: int) -> Ensemble:
@@ -380,4 +397,4 @@ def pid(
     surviving states.  Corrective element targets refer to post-measurement
     mode indices.
     """
-    return _readout(state, (((mode,), _PID_CIRCUIT, site),), rules)
+    return _readout(state, (_resolve(((mode,), _PID_CIRCUIT, site), state.modes),), rules)

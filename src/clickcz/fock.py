@@ -154,6 +154,14 @@ class PureState:
         """
         if amplitudes and min(map(abs, amplitudes.values())) < PRUNE_EPS:
             amplitudes = {v: a for v, a in amplitudes.items() if abs(a) >= PRUNE_EPS}
+        return cls._pruned(modes, amplitudes, photon_cap)
+
+    @classmethod
+    def _pruned(
+        cls, modes: int, amplitudes: dict[FockVector, complex], photon_cap: int
+    ) -> "PureState":
+        """``_trusted`` for a caller that has pruned already: no amplitude is
+        below ``PRUNE_EPS``, so none is scanned."""
         state = object.__new__(cls)
         state.modes = modes
         state.photon_cap = photon_cap

@@ -8,11 +8,12 @@ recomputed from branch weights on every access.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from . import states
-from .detection import RuleAction, _Circuit, _readout, pid, pid_split
+from .detection import RuleAction, _Circuit, _readout, _resolve, pid, pid_split
 from .elements import apply_pbs, apply_pdps, apply_pr, bs, pbs, pdps, pr, ps
 from .fock import Branch, Ensemble, PureState, SimulatorError
 
@@ -128,7 +129,8 @@ def ecc(state: PureState, mode_a: int, mode_b: int) -> Ensemble:
     by table 3's verification (``oracle._verify_table3``), demo 04 and the
     ``perfbench`` tracer.
     """
-    return _readout(state, (((mode_a, mode_b), _ECC_CIRCUIT, "ecc"),), ECC_RULES)
+    site = _resolve(((mode_a, mode_b), _ECC_CIRCUIT, "ecc"), state.modes)
+    return _readout(state, (site,), ECC_RULES)
 
 
 # -- GHZ pair to the four-qubit gate ancilla ------------------------------------
@@ -149,6 +151,9 @@ G2A_RULES = {
     **dict.fromkeys(("3", "4"), RuleAction(elements=(ps(0, PI / 2),) + _G2A_CONVERSION)),
 }
 
+# The filter on the second mode of each 3-mode register.
+_G2A_SITE = _resolve(((1, 4), _ECC_CIRCUIT, "g2a/ecc"), 6)
+
 
 def g2a(input_ensemble: Ensemble | PureState) -> GadgetResult:
     """Convert two partial-GHZ registers (6 modes) into the gate ancilla.
@@ -166,8 +171,7 @@ def g2a(input_ensemble: Ensemble | PureState) -> GadgetResult:
         if registers.modes != 6:
             raise ValueError("ancilla conversion expects 6-mode registers")
         _require_normalized(registers, "ancilla conversion input")
-        error_filter = ((1, 4), _ECC_CIRCUIT, "g2a/ecc")
-        return _readout(registers, (error_filter,), G2A_RULES)
+        return _readout(registers, (_G2A_SITE,), G2A_RULES)
 
     return GadgetResult(input_ensemble.then(convert))
 
@@ -192,7 +196,8 @@ def a2c(state: PureState, mode_x: int, mode_y: int) -> Ensemble:
     bunched and the attempt is discarded.
     """
     _require_normalized(state, "fusion input")
-    return _readout(state, (((mode_x, mode_y), _A2C_CIRCUIT, "a2c"),), A2C_RULES)
+    site = _resolve(((mode_x, mode_y), _A2C_CIRCUIT, "a2c"), state.modes)
+    return _readout(state, (site,), A2C_RULES)
 
 
 # -- controlled-phase gate -------------------------------------------------------
@@ -240,6 +245,13 @@ _CZ_PAIR_RULES = {
 # The default ancilla; states are immutable, so one copy serves every call.
 _T1_PRIME = states.t1_prime()
 
+# Modes are fused where the tensor product puts them, (q1, q2, a1..a4):
+# (q1, a1) first, leaving (q2, a2, a3, a4), then (a4, q2), leaving (a2, a3).
+_CZ_SITES = (
+    _resolve(((0, 2), _A2C_CIRCUIT, "a2c1"), 6),
+    _resolve(((3, 0), _A2C_CIRCUIT, "a2c2"), 4),
+)
+
 
 def cz_gate(input_state: PureState, ancilla: PureState | None = None) -> GadgetResult:
     """Controlled-phase gate on a two-mode dual-rail input.
@@ -255,11 +267,8 @@ def cz_gate(input_state: PureState, ancilla: PureState | None = None) -> GadgetR
     _require_normalized(input_state, "controlled-phase input")
     _require_normalized(ancilla, "ancilla")
 
-    # Modes are fused where the tensor product puts them, (q1, q2, a1..a4):
-    # (q1, a1) first, leaving (q2, a2, a3, a4), then (a4, q2), leaving
-    # (a2, a3). The two fusions are one readout, decided by outcome pair.
-    sites = (((0, 2), _A2C_CIRCUIT, "a2c1"), ((3, 0), _A2C_CIRCUIT, "a2c2"))
-    return GadgetResult(_readout(input_state.tensor(ancilla), sites, _CZ_PAIR_RULES))
+    # the two fusions are one readout, decided by outcome pair
+    return GadgetResult(_readout(input_state.tensor(ancilla), _CZ_SITES, _CZ_PAIR_RULES))
 
 
 # -- the whole pipeline ----------------------------------------------------------
@@ -273,15 +282,14 @@ class PipelineResult(GadgetResult):
     ancilla_probability: float
 
 
-def cz_full_pipeline(input_state: PureState) -> PipelineResult:
-    """Compose two Bell-to-GHZ runs, the ancilla conversion, and the gate.
+@functools.cache
+def _ancilla_stage() -> Ensemble:
+    """Two Bell-to-GHZ runs and the ancilla conversion: every branch of the
+    ancilla stage, kept or not.
 
-    Returns every branch of the whole tree: failed conversions keep their
-    partial records, successes end in the exact controlled-phase image of
-    the input.
+    It reads no input, so it is built on the first pipeline call, not at
+    import, and that one ensemble of immutable branches serves every call.
     """
-    _require_qubits(input_state, 2, "controlled-phase input")
-    _require_normalized(input_state, "controlled-phase input")
     # both conversions start from the same Bell pairs, so the second reuses
     # the first's branches under its own site name
     bell = states.bell_phi_plus()
@@ -292,7 +300,19 @@ def cz_full_pipeline(input_state: PureState) -> PipelineResult:
             for b in first.branches
         )
     )
-    registers = first.combine(second)
-    converted = g2a(registers).ensemble
+    return g2a(first.combine(second)).ensemble
+
+
+def cz_full_pipeline(input_state: PureState) -> PipelineResult:
+    """Compose two Bell-to-GHZ runs, the ancilla conversion, and the gate.
+
+    Returns every branch of the whole tree: failed conversions keep their
+    partial records, successes end in the exact controlled-phase image of
+    the input. Only the gate reads the input; the stage before it is built
+    once per process (``_ancilla_stage``).
+    """
+    _require_qubits(input_state, 2, "controlled-phase input")
+    _require_normalized(input_state, "controlled-phase input")
+    converted = _ancilla_stage()
     gated = converted.then(lambda ancilla: cz_gate(input_state, ancilla=ancilla).ensemble)
     return PipelineResult(gated, ancilla_probability=converted.keep_weight)

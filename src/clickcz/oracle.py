@@ -6,6 +6,7 @@ tables and stated probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from . import states, tables
@@ -157,16 +158,23 @@ def enumerate_exact(gadget: str, input_state: PureState | None = None) -> list[O
 def outcome_rows(ensemble: Ensemble) -> list[OutcomeRow]:
     """One row per branch, in canonical order.
 
-    Ties are broken by the sorted support of the state, computed once per
-    distinct state object (branches share states after ``Ensemble.then``).
+    Rows and their sort keys are built in one pass, each label joined once
+    as ``Branch.label`` joins it. Ties are broken by the sorted support of
+    the state, computed once per distinct state object (branches share
+    states after ``Ensemble.then``).
     """
-    rows = [
-        OutcomeRow(b.label, b.disposition, b.weight, b.state) for b in ensemble.branches
-    ]
-    distinct = {id(r.state): r.state for r in rows}
-    support = {key: tuple(sorted(state._amps)) for key, state in distinct.items()}
-    rows.sort(key=lambda r: (r.label, r.disposition, -r.probability, support[id(r.state)]))
-    return rows
+    supports: dict[int, tuple[FockVector, ...]] = {}
+    keyed = []
+    for weight, state, record, disposition in ensemble.branches:
+        label = "+".join([e.label for e in record])
+        support = supports.get(id(state))
+        if support is None:
+            support = supports[id(state)] = tuple(sorted(state._amps))
+        keyed.append(
+            ((label, disposition, -weight, support), OutcomeRow(label, disposition, weight, state))
+        )
+    keyed.sort(key=itemgetter(0))
+    return [row for _, row in keyed]
 
 
 def aggregate_probabilities(rows: Sequence[OutcomeRow]) -> list[tuple[str, str, float]]:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from clickcz.detection import _resolve
 from clickcz.fock import PureState
 
 
@@ -24,6 +25,16 @@ def assert_states_equal(actual: PureState, expected: PureState, tol: float = 1e-
     for vec in vectors:
         a, e = actual.amplitude(vec), expected.amplitude(vec)
         assert abs(a - e) <= tol, f"amplitude at {vec}: {a} != {e}"
+
+
+def resolved(width: int, sites) -> tuple:
+    """(modes, circuit or None, name) sites resolved for ``_readout`` in turn,
+    each against the modes the one before leaves."""
+    out = []
+    for site in sites:
+        out.append(_resolve(site, width))
+        width = out[-1].rest
+    return tuple(out)
 
 
 @pytest.fixture

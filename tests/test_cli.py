@@ -70,6 +70,11 @@ class TestEnumerateReports:
         assert len(calls) == 1
         assert abs(report.extras["ancilla_probability"] - 1 / 8) <= TOL
 
+    def test_pipeline_report_repeats_byte_for_byte(self):
+        # the second run reuses the first one's ancilla stage
+        config = ExperimentConfig("pipeline", emit_states=True)
+        assert run(config)[0].to_json() == run(config)[0].to_json()
+
     def test_cz_report_probabilities_sum_to_one(self):
         report, _ = run(ExperimentConfig(experiment="cz"))
         total = sum(o["probability"] for o in report.outcomes)
@@ -178,6 +183,14 @@ class TestConfigValidation:
             ({"experiment": "pid-chain", "depth": None}, "--depth must be an integer, got None"),
             ({"experiment": "pid-chain", "depth": 9}, "pid-chain depth must be in 2..8, got 9"),
             ({"experiment": "run-circuit"}, "run-circuit requires --input"),
+            # a truthy string would emit states; a non-string path fails in Path()
+            ({"experiment": "a2c", "emit_states": "false"}, "--emit-states must be a bool, got 'false'"),
+            ({"input_path": 3}, "--input must be a str, got 3"),
+            (
+                {"experiment": "run-circuit", "input_path": "in.json", "circuit_path": 3},
+                "--circuit must be a str, got 3",
+            ),
+            ({"out_path": 3}, "--out must be a str, got 3"),
         ],
         ids=[
             "experiment",
@@ -192,6 +205,10 @@ class TestConfigValidation:
             "none-depth",
             "depth-range",
             "run-circuit-input",
+            "str-emit-states",
+            "int-input",
+            "int-circuit",
+            "int-out",
         ],
     )
     def test_bad_value_raises(self, overrides, message):

@@ -29,11 +29,12 @@ from clickcz.fock import (
     FeedForwardError,
     OutcomeEvent,
     PureState,
+    creation_apply,
 )
 from clickcz.gadgets import B2G_RULES
 from clickcz import states, tables
 
-from conftest import assert_states_equal, random_state
+from conftest import assert_states_equal, random_state, resolved
 
 H = (1, 0)
 V = (0, 1)
@@ -132,6 +133,22 @@ class TestMeasure:
     def test_distinct_modes_required(self):
         with pytest.raises(ValueError):
             measure_nr(states.ghz_plus(), (0, 0), site="d")
+
+    def test_a_term_that_only_scaling_pushes_below_the_threshold_is_pruned(self):
+        # a raw creation makes norm² 2: the sector's weight is above 1, so
+        # normalizing scales its small term from 1.2e-14 to 8.5e-15
+        small = 1.2 * PRUNE_EPS
+        psi = creation_apply(PureState(2, {(H, H): 1.0, (H, V): small}), 1, "H")
+        assert psi.norm2 > 1
+        (branch,) = measure_nr(psi, (0,), site="d").branches
+        sector = {((2, 0),): math.sqrt(2), ((1, 1),): small}
+        weight = sum(abs(a) ** 2 for a in sector.values())
+        assert small / math.sqrt(weight) < PRUNE_EPS <= small
+        # the weight counts the term; the post-state is the scaled sector, pruned
+        assert branch.weight == weight
+        expected = PureState(1, sector).scaled(1 / math.sqrt(weight))
+        assert branch.state.items() == expected.items()
+        assert expected.items() == [(((2, 0),), math.sqrt(2) / math.sqrt(weight))]
 
 
 class TestPidSplit:
@@ -270,7 +287,7 @@ class TestTransferTable:
                 # four rails read as a fusion pair, where three clicks raise
                 # once every image of the state is in the table
                 with contextlib.suppress(ConsistencyError):
-                    _readout(psi, ((modes, circuit, "t"),))
+                    _readout(psi, resolved(psi.modes, ((modes, circuit, "t"),)))
                 occupancies |= {tuple(vec[m] for m in modes) for vec in psi._amps}
         # one entry per occupancy of the measured modes, within the photon cap
         for (circuit, k), occupancies in zip(SITE_CIRCUITS, seen):
@@ -283,7 +300,7 @@ class TestTransferTable:
 
         def read_through_a_fresh_circuit():
             circuit = _Circuit((pr(0, rng.uniform(-math.pi, math.pi)), pbs(0, 1)))
-            _readout(psi, (((2,), circuit, "t"),))
+            _readout(psi, resolved(psi.modes, (((2,), circuit, "t"),)))
 
         read_through_a_fresh_circuit()
         sizes = [f.cache_info().currsize for f in caches]
@@ -338,13 +355,24 @@ class TestDecide:
         # the rules have no key for the readable branches, but the
         # impossible pattern is found first
         with pytest.raises(ConsistencyError):
+            _readout(psi, resolved(psi.modes, sites), {})
+
+    def test_a_site_resolved_at_another_width_raises_before_any_read(self, monkeypatch):
+        reads = _count_calls(monkeypatch, detection, "_read")
+        psi = states.two_qubit(1, 1j, -1, 0.5)
+        # the second site is resolved for the input's width, not the first one's rest
+        sites = resolved(2, (((0,), None, "s0"),)) + resolved(2, (((0,), None, "s1"),))
+        with pytest.raises(ValueError, match="site 's1' reads 2 modes, not 1"):
             _readout(psi, sites, {})
+        with pytest.raises(ValueError, match="site 's0' reads 2 modes, not 3"):
+            _readout(states.ghz_plus(), sites[:1])
+        assert reads == []
 
     def test_second_site_modes_are_checked_before_any_decision(self):
         psi = states.two_qubit(1, 1j, -1, 0.5)
         sites = (((0,), None, "s0"), ((1,), None, "s1"))
         with pytest.raises(ValueError, match="out of range"):
-            _readout(psi, sites, {})
+            _readout(psi, resolved(psi.modes, sites), {})
 
     def test_events_are_readings_only(self):
         out = pid(PureState(2, {(H, E): 0.6, (H, H): 0.8}), 1, B2G_RULES)

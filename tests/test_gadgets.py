@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 
@@ -466,8 +467,9 @@ class TestOneStagingHelper:
     """``Ensemble.then`` stages once per distinct kept state; the gate's
     readout reads every survivor of its first fusion directly."""
 
-    def test_gate_readout_and_pipeline_then(self, monkeypatch):
-        reads = _counting(monkeypatch, detection, "_read")
+    @staticmethod
+    def _counting_then(monkeypatch) -> list:
+        """Log the name of each stage ``Ensemble.then`` runs; return the log."""
         runs = []
         then = fock.Ensemble.then
 
@@ -479,18 +481,74 @@ class TestOneStagingHelper:
             return then(ensemble, counted)
 
         monkeypatch.setattr(fock.Ensemble, "then", counting)
+        return runs
+
+    def test_gate_readout_and_pipeline_then(self, monkeypatch):
+        # whichever pipeline call comes first builds the ancilla stage
+        gadgets._ancilla_stage()
+        reads = _counting(monkeypatch, detection, "_read")
+        runs = self._counting_then(monkeypatch)
         psi = states.two_qubit(1, 1j, -1, 0.5)
         cz_gate(psi)
         # the first fusion reads the input once, the second each of its 8 survivors
         assert len(reads) == 1 + 8
         assert runs == []
-        reads.clear()
-        cz_full_pipeline(psi)
-        # one B2G readout, one filter per distinct register state, one gate
-        assert len(reads) == 1 + 4 + 9
-        # g2a's 16 kept register pairs hold 4 distinct states, and the
-        # gate's 16 kept ancillas agree
-        assert runs == ["convert"] * 4 + ["<lambda>"]
+        for _ in range(2):
+            reads.clear()
+            runs.clear()
+            cz_full_pipeline(psi)
+            # the gate alone: its 16 kept ancillas agree, so it runs once
+            assert len(reads) == 1 + 8
+            assert runs == ["<lambda>"]
+
+    def test_ancilla_stage_reads(self, monkeypatch):
+        reads = _counting(monkeypatch, detection, "_read")
+        runs = self._counting_then(monkeypatch)
+        # the stage's own body, past its cache
+        stage = gadgets._ancilla_stage.__wrapped__()
+        # one B2G readout, one filter per distinct register state
+        assert len(reads) == 1 + 4
+        assert runs == ["convert"] * 4
+        assert stage.keep_weight == pytest.approx(1 / 8, abs=TOL)
+
+
+def _exact(ensemble) -> list:
+    """Every branch's label, disposition, weight and terms, for bit-for-bit comparison."""
+    return [(b.label, b.disposition, b.weight, b.state.items()) for b in ensemble.branches]
+
+
+class TestSharedAncillaStage:
+    """The ancilla stage reads no input: one ensemble serves every pipeline call."""
+
+    def test_a_later_input_matches_a_first_one(self, monkeypatch):
+        first, second = states.basis_two_qubit("HV"), states.two_qubit(1, 1j, -1, 0.5)
+
+        def fresh_process_stage():
+            # an empty cache of the stage's own, as in a process that has run no pipeline
+            fresh = functools.cache(gadgets._ancilla_stage.__wrapped__)
+            monkeypatch.setattr(gadgets, "_ancilla_stage", fresh)
+
+        fresh_process_stage()
+        alone = _exact(cz_full_pipeline(second).ensemble)
+        fresh_process_stage()
+        cz_full_pipeline(first)
+        assert _exact(cz_full_pipeline(second).ensemble) == alone
+
+    def test_results_share_the_stage_branches(self):
+        stage = gadgets._ancilla_stage()
+        before = _exact(stage)
+        results = [
+            cz_full_pipeline(psi).ensemble
+            for psi in (states.basis_two_qubit("HV"), states.two_qubit(1, 1j, -1, 0.5))
+        ]
+        assert gadgets._ancilla_stage() is stage
+        # the stage's discards pass through ``then`` as the same objects
+        discarded = [b for b in stage.branches if b.disposition == "discard"]
+        assert len(discarded) == 77 - 16
+        for result in results:
+            ids = {id(b) for b in result.branches}
+            assert all(id(b) in ids for b in discarded)
+        assert _exact(stage) == before
 
 
 class TestReadoutModes:

@@ -31,7 +31,10 @@ from clickcz.fock import (
     Ensemble,
     FeedForwardError,
     PureState,
+    _agree,
 )
+
+from conftest import resolved
 
 TOL = 1e-12
 
@@ -324,9 +327,9 @@ def test_readout_matches_optics_then_measurement(name, data, psi):
     except ConsistencyError:  # three or more clicks at a fusion site
         event("inconsistent")
         with pytest.raises(ConsistencyError):
-            _readout(psi, ((modes, circuit, "s"),))
+            _readout(psi, resolved(psi.modes, ((modes, circuit, "s"),)))
         return
-    got = _readout(psi, ((modes, circuit, "s"),)).branches
+    got = _readout(psi, resolved(psi.modes, ((modes, circuit, "s"),))).branches
     # same sectors in the same order: records, supports and amplitudes agree
     assert [b.record for b in got] == [b.record for b in expected]
     for mine, ref in zip(got, expected):
@@ -367,21 +370,28 @@ def rule_actions(draw, modes):
 
 def _chained(psi, sites):
     """Each site read by its own ``_readout`` on every survivor of the one before."""
-    ensemble = _readout(psi, sites[:1])
+    ensemble = _readout(psi, resolved(psi.modes, sites[:1]))
     for site in sites[1:]:
         ensemble = Ensemble(
             tuple(
                 Branch(parent.weight * b.weight, b.state, parent.record + b.record)
                 for parent in ensemble.branches
-                for b in _readout(parent.state, (site,)).branches
+                for b in _readout(parent.state, resolved(parent.state.modes, (site,))).branches
             )
         )
     return ensemble
 
 
 def _decided(ensemble, rules):
-    """Each branch looked up by its joined labels and corrected element by element."""
+    """Each branch looked up by its joined labels and corrected element by element.
+
+    As ``_decide`` documents, a kept state that agrees (``_agree``: every
+    amplitude within ``PRUNE_EPS``) with one its action corrected before
+    takes that earlier correction, which can differ from its own by more
+    than the 1e-15 the comparison allows.
+    """
     out = []
+    corrected: dict = {}
     for b in ensemble.branches:
         key = "".join(e.label for e in b.record)
         if key not in rules:
@@ -389,7 +399,13 @@ def _decided(ensemble, rules):
         action = rules[key]
         state = b.state
         if action.disposition == "keep" and action.elements:
-            state = apply_circuit(state, action.elements)
+            done = corrected.setdefault(id(action), [])
+            earlier = [after for before, after in done if _agree(before, state)]
+            if earlier:
+                state = earlier[0]
+            else:
+                done.append((state, apply_circuit(state, action.elements)))
+                state = done[-1][1]
         out.append(Branch(b.weight, state, b.record, action.disposition))
     return out
 
@@ -413,7 +429,7 @@ def test_deciding_readout_matches_composition(first, data, psi):
         chained = _chained(psi, sites)
     except ConsistencyError:  # three or more clicks at a fusion site
         with pytest.raises(ConsistencyError):
-            _readout(psi, sites, {})
+            _readout(psi, resolved(psi.modes, sites), {})
         return
     keys = sorted({"".join(e.label for e in b.record) for b in chained.branches})
     rules = {key: data.draw(rule_actions(left)) for key in keys}
@@ -423,9 +439,9 @@ def test_deciding_readout_matches_composition(first, data, psi):
         expected = _decided(chained, rules)
     except FeedForwardError as exc:
         with pytest.raises(FeedForwardError, match=re.escape(str(exc))):
-            _readout(psi, sites, rules)
+            _readout(psi, resolved(psi.modes, sites), rules)
         return
-    got = _readout(psi, sites, rules).branches
+    got = _readout(psi, resolved(psi.modes, sites), rules).branches
     # same order, records, dispositions and weights bit for bit; corrections to 1e-15
     assert [b.record for b in got] == [b.record for b in expected]
     assert [b.disposition for b in got] == [b.disposition for b in expected]
