@@ -58,6 +58,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Reject bad values, and set fields that the experiment does not read."""
+        # a list is unhashable, so the table lookup would raise a bare TypeError
+        if not isinstance(self.experiment, str):
+            raise ConfigError(f"--experiment must be a str, got {self.experiment!r}")
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         try:
@@ -133,9 +136,11 @@ def _dumps_indented(obj: object) -> str:
     ``str``, ``int``, ``float`` (subclasses such as ``np.float64`` included),
     booleans and ``None``; anything else raises ``TypeError``. Fragments go to
     one list, joined once. A container met again at the same depth replays the
-    fragments it wrote the first time; keying that on ``(id, depth)`` is sound
-    because ``obj`` keeps the whole tree alive for the call, so no id is
-    reused within it. There is no cycle check; a report is a tree.
+    fragments it wrote the first time: its first replay joins them into one
+    string, and every replay appends that one string. Keying that on
+    ``(id, depth)`` is sound because ``obj`` keeps the whole tree alive for the
+    call, so no id is reused within it. There is no cycle check; a report is a
+    tree.
     """
     scalar = _JSON_SCALARS.get(type(obj))
     if scalar is not None:
@@ -146,7 +151,7 @@ def _dumps_indented(obj: object) -> str:
 
 
 def _write_json(
-    o: object, depth: int, out: list[str], spans: dict[tuple[int, int], tuple[int, int]]
+    o: object, depth: int, out: list[str], spans: dict[tuple[int, int], tuple[int, int] | str]
 ) -> None:
     """Append the fragments of ``o``, which is not of an exact scalar type."""
     if not isinstance(o, (dict, list, tuple)):
@@ -157,7 +162,9 @@ def _write_json(
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     span = spans.get((id(o), depth))
     if span is not None:
-        out.extend(out[span[0] : span[1]])
+        if type(span) is tuple:
+            span = spans[id(o), depth] = "".join(out[span[0] : span[1]])
+        out.append(span)
         return
     start = len(out)
     if not o:
@@ -270,7 +277,7 @@ def _sample_outcomes(
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(samples, probs)
     return [
-        {"label": label, "disposition": disposition, "frequency": count / samples}
+        {"label": label, "disposition": disposition, "frequency": float(count / samples)}
         for (label, disposition, _), count in zip(aggregated, counts)
     ]
 
@@ -285,9 +292,10 @@ def _probability_outcomes(aggregated: list[tuple[str, str, float]]) -> list[dict
 def _gadget_report(config: ExperimentConfig) -> tuple[RunReport, int]:
     input_state = _load_state(config.input_path) if config.input_path else None
     result = oracle.GADGETS[config.experiment](input_state)
-    rows = oracle.outcome_rows(result.ensemble)
-    aggregated = oracle.aggregate_probabilities(rows)
+    table = oracle.outcome_table(result.ensemble)
+    aggregated = oracle.aggregate_probabilities(table)
     success = sum((p for _, d, p in aggregated if d == "keep"), 0.0)
+    kept = [(label, group) for (label, d), group in table.items() if d == "keep"]
 
     extras: dict = {}
     if config.experiment == "b2g":
@@ -296,11 +304,10 @@ def _gadget_report(config: ExperimentConfig) -> tuple[RunReport, int]:
         ghz = states.ghz_plus()
         success = sum(
             (
-                r.probability
-                for r in rows
-                if r.disposition == "keep"
-                and r.state.modes == ghz.modes
-                and r.state.equal_up_to_global_phase(ghz)
+                b.weight
+                for _, group in kept
+                for b in group
+                if b.state.modes == ghz.modes and b.state.equal_up_to_global_phase(ghz)
             ),
             0.0,
         )
@@ -314,10 +321,11 @@ def _gadget_report(config: ExperimentConfig) -> tuple[RunReport, int]:
         outcomes = _probability_outcomes(aggregated)
     if config.emit_states:
         # kept branches share state objects; render each one once
-        kept = [r for r in rows if r.disposition == "keep"]
-        distinct = {id(r.state): r.state for r in kept}
+        distinct = {id(b.state): b.state for _, group in kept for b in group}
         rendered = {key: state.to_json_dict() for key, state in distinct.items()}
-        extras["success_states"] = [{"label": r.label, "state": rendered[id(r.state)]} for r in kept]
+        extras["success_states"] = [
+            {"label": label, "state": rendered[id(b.state)]} for label, group in kept for b in group
+        ]
     return RunReport(config.experiment, config.mode, outcomes, success, extras), 0
 
 
@@ -326,7 +334,7 @@ def _pid_chain_report(config: ExperimentConfig) -> tuple[RunReport, int]:
     ensemble = pid(states.phi_plus(d), d - 1, B2G_RULES, site="pid-chain")
     target = states.phi_plus(d - 1)
     fidelities = [abs(b.state.inner_product(target)) ** 2 for b in ensemble.branches]
-    aggregated = oracle.aggregate_probabilities(oracle.outcome_rows(ensemble))
+    aggregated = oracle.aggregate_probabilities(oracle.outcome_table(ensemble))
     return RunReport(
         experiment="pid-chain",
         mode="enumerate",

@@ -6,7 +6,6 @@ tables and stated probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from . import states, tables
@@ -145,61 +144,79 @@ GADGETS: dict[str, Callable[[PureState | None], GadgetResult]] = {
 
 
 def enumerate_exact(gadget: str, input_state: PureState | None = None) -> list[OutcomeRow]:
-    """All measurement branches of a registered gadget, canonically sorted.
+    """All measurement branches of a registered gadget, as ``outcome_rows``.
 
-    The CLI builds its rows through ``outcome_rows`` directly; the readers of
-    this entry point are the tests and the ``perfbench/tracing.py`` boundaries.
+    The CLI reads its outcomes from ``outcome_table`` directly and builds no
+    row; the readers of this entry point are the tests and the
+    ``perfbench/tracing.py`` boundaries.
     """
     if gadget not in GADGETS:
         raise ValueError(f"unknown gadget {gadget!r}; expected one of {sorted(GADGETS)}")
     return outcome_rows(GADGETS[gadget](input_state).ensemble)
 
 
-def outcome_rows(ensemble: Ensemble) -> list[OutcomeRow]:
-    """One row per branch, in canonical order.
+def outcome_table(ensemble: Ensemble) -> dict[tuple[str, str], list[Branch]]:
+    """The branches grouped by (label, disposition), in canonical order.
 
-    Rows and their sort keys are built in one pass, each label joined once
-    as ``Branch.label`` joins it. Ties are broken by the sorted support of
-    the state, computed once per distinct state object (branches share
-    states after ``Ensemble.then``).
+    One pass groups the branches, each label joined once as ``Branch.label``
+    joins it. The keys come out sorted. Within a group of more than one
+    branch, the branches are sorted stably by (-weight, sorted support of the
+    state), so full ties keep ensemble order; the support is computed once
+    per distinct state object (branches share states after
+    ``Ensemble.then``). Flattened, this is every branch sorted by (label,
+    disposition, -weight, support).
     """
+    groups: dict[tuple[str, str], list[Branch]] = {}
+    for branch in ensemble.branches:
+        key = ("+".join([e.label for e in branch.record]), branch.disposition)
+        groups.setdefault(key, []).append(branch)
+
     supports: dict[int, tuple[FockVector, ...]] = {}
-    keyed = []
-    for weight, state, record, disposition in ensemble.branches:
-        label = "+".join([e.label for e in record])
-        support = supports.get(id(state))
+
+    def tie_break(branch: Branch) -> tuple[float, tuple[FockVector, ...]]:
+        support = supports.get(id(branch.state))
         if support is None:
-            support = supports[id(state)] = tuple(sorted(state._amps))
-        keyed.append(
-            ((label, disposition, -weight, support), OutcomeRow(label, disposition, weight, state))
-        )
-    keyed.sort(key=itemgetter(0))
-    return [row for _, row in keyed]
+            support = supports[id(branch.state)] = tuple(sorted(branch.state._amps))
+        return -branch.weight, support
+
+    table = {key: groups[key] for key in sorted(groups)}
+    for group in table.values():
+        if len(group) > 1:
+            group.sort(key=tie_break)
+    return table
 
 
-def aggregate_probabilities(rows: Sequence[OutcomeRow]) -> list[tuple[str, str, float]]:
-    """Total probability per (label, disposition), sorted by label.
+def outcome_rows(ensemble: Ensemble) -> list[OutcomeRow]:
+    """One row per branch, in canonical order: ``outcome_table`` flattened."""
+    return [
+        OutcomeRow(label, disposition, branch.weight, branch.state)
+        for (label, disposition), group in outcome_table(ensemble).items()
+        for branch in group
+    ]
 
-    The rows must come in ``outcome_rows`` order, where each key is one run
-    of consecutive rows; a run is summed in row order. A key that sorts
-    before the key of the run ahead of it raises ``ValueError``.
+
+def aggregate_probabilities(
+    table: Mapping[tuple[str, str], Sequence[Branch]],
+) -> list[tuple[str, str, float]]:
+    """Total probability per (label, disposition) of an ``outcome_table``.
+
+    Each group's weights are summed from 0.0 in group order. The keys must
+    come in ``outcome_table`` order; a key that sorts before the one ahead
+    of it raises ``ValueError``.
     """
     out: list[tuple[str, str, float]] = []
-    label = disposition = None
-    total = 0.0
-    for row in rows:
-        if row.label != label or row.disposition != disposition:
-            if label is not None:
-                if (row.label, row.disposition) < (label, disposition):
-                    raise ValueError(
-                        f"row {(row.label, row.disposition)} comes after "
-                        f"{(label, disposition)}; rows must be in outcome_rows order"
-                    )
-                out.append((label, disposition, total))
-            label, disposition, total = row.label, row.disposition, 0.0
-        total += row.probability
-    if label is not None:
-        out.append((label, disposition, total))
+    previous = None
+    for key, group in table.items():
+        if previous is not None and key < previous:
+            raise ValueError(
+                f"key {key} comes after {previous}; the table must be in outcome_table order"
+            )
+        # a += loop, not sum(), which Python 3.12 made compensated
+        total = 0.0
+        for branch in group:
+            total += branch.weight
+        out.append((*key, total))
+        previous = key
     return out
 
 

@@ -191,6 +191,8 @@ class TestConfigValidation:
                 "--circuit must be a str, got 3",
             ),
             ({"out_path": 3}, "--out must be a str, got 3"),
+            # an unhashable value would fail the experiment table's lookup
+            ({"experiment": ["cz"]}, "--experiment must be a str, got ['cz']"),
         ],
         ids=[
             "experiment",
@@ -209,6 +211,7 @@ class TestConfigValidation:
             "int-input",
             "int-circuit",
             "int-out",
+            "list-experiment",
         ],
     )
     def test_bad_value_raises(self, overrides, message):
@@ -244,6 +247,18 @@ class TestSampling:
         )
         total = sum(o["frequency"] for o in report.outcomes)
         assert total == pytest.approx(1.0, abs=TOL)
+
+    def test_csv_values_are_the_json_frequencies(self, tmp_path):
+        argv = ["--experiment", "cz", "--mode", "sample", "--samples", "100", "--seed", "1"]
+        assert main(argv + ["--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        lines = (tmp_path / "r.csv").read_text().splitlines()[1:]
+        outcomes = json.loads((tmp_path / "r.json").read_text())["outcomes"]
+        assert len(lines) == len(outcomes) > 1
+        for line, outcome in zip(lines, outcomes):
+            _, label, disposition, value = line.split(",")
+            assert (label, disposition) == (outcome["label"], outcome["disposition"])
+            assert float(value) == outcome["frequency"]
 
     def test_keep_frequency_near_enumerated(self):
         report, _ = run(
@@ -288,7 +303,8 @@ class TestSampling:
         # The paper's exact fractions put floor((n + 1) p) of the binomial
         # draws on an integer; a few ulps on one probability must not move
         # a count.
-        rows = oracle.aggregate_probabilities(oracle.enumerate_exact("cz"))
+        table = oracle.outcome_table(oracle.GADGETS["cz"](None).ensemble)
+        rows = oracle.aggregate_probabilities(table)
         base = _sample_outcomes(rows, 100_000, 20240803)
         for i, (label, disposition, p) in enumerate(rows):
             for toward in (0.0, 1.0):
@@ -313,8 +329,8 @@ class TestSampling:
     def test_cli_exit_code_for_probabilities_off_from_one(self, monkeypatch, capsys):
         aggregate = oracle.aggregate_probabilities
 
-        def short(rows):
-            return [(label, d, 0.9 * p) for label, d, p in aggregate(rows)]
+        def short(table):
+            return [(label, d, 0.9 * p) for label, d, p in aggregate(table)]
 
         monkeypatch.setattr(oracle, "aggregate_probabilities", short)
         argv = ["--experiment", "b2g", "--mode", "sample", "--samples", "10", "--seed", "1"]
@@ -372,7 +388,7 @@ class TestReportWriter:
         assert len(calls) == len(set(calls)) == 8
         assert len({id(entry["state"]) for entry in report.extras["success_states"]}) == 8
 
-    @pytest.mark.parametrize("experiment", ["cz", "pipeline"])
+    @pytest.mark.parametrize("experiment", list(oracle.GADGETS))
     def test_outcome_rows_order_unchanged(self, experiment):
         ensemble = oracle.GADGETS[experiment](None).ensemble
         reference = sorted(
@@ -426,6 +442,14 @@ class TestReportWriter:
         ],
     )
     def test_value_matches_stdlib(self, value):
+        assert cli._dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_replayed_subtrees_match_stdlib(self):
+        # inner, met twice at depth 1 and once at depth 2, holds leaf four
+        # times at its own depth + 1 and once one level deeper
+        leaf = {"terms": [{"re": 0.5, "im": -0.25}, [1, "x"]], "modes": 2}
+        inner = [leaf, leaf, {"again": leaf}, leaf, leaf]
+        value = {"a": inner, "b": inner, "c": [inner], "d": leaf}
         assert cli._dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2)
 
     # the stdlib writes an int key as a string; a report has only str keys, so

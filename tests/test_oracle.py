@@ -3,9 +3,10 @@ import cmath
 import numpy as np
 import pytest
 
-from clickcz.fock import Ensemble, PureState
+from clickcz.fock import Branch, Ensemble, OutcomeEvent, PureState
 from clickcz.gadgets import b2g
 from clickcz.oracle import (
+    GADGETS,
     OutcomeRow,
     aggregate_probabilities,
     density_of,
@@ -15,6 +16,7 @@ from clickcz.oracle import (
     match_up_to_phase,
     mixture_density,
     outcome_rows,
+    outcome_table,
     partial_ghz_density,
     verify_all_tables,
     verify_table,
@@ -103,9 +105,9 @@ class TestEnumeration:
         assert labels == sorted(labels)
 
     def test_aggregation(self):
-        rows = enumerate_exact("b2g")
+        table = outcome_table(b2g_ensemble())
         agg = dict(
-            ((label, disp), p) for label, disp, p in aggregate_probabilities(rows)
+            ((label, disp), p) for label, disp, p in aggregate_probabilities(table)
         )
         assert agg[("Hn0", "keep")] == pytest.approx(0.375, abs=TOL)
         assert agg[("0Vn", "keep")] == pytest.approx(0.375, abs=TOL)
@@ -113,7 +115,7 @@ class TestEnumeration:
 
 
 class TestAggregation:
-    """Runs of equal (label, disposition) are summed in row order."""
+    """Each (label, disposition) group of a table is summed in row order."""
 
     @staticmethod
     def _reference(rows):
@@ -125,19 +127,58 @@ class TestAggregation:
 
     @pytest.mark.parametrize("gadget", ["cz", "pipeline"])
     def test_equals_a_dict_reference(self, gadget):
-        rows = enumerate_exact(gadget)
-        got = aggregate_probabilities(rows)
+        ensemble = GADGETS[gadget](None).ensemble
+        got = aggregate_probabilities(outcome_table(ensemble))
+        rows = outcome_rows(ensemble)
         assert len(got) < len(rows)
         assert got == self._reference(rows)
 
     def test_empty(self):
-        assert aggregate_probabilities([]) == []
+        assert aggregate_probabilities({}) == []
 
     def test_rows_out_of_order_raise(self):
-        rows = enumerate_exact("b2g")
-        assert len({(r.label, r.disposition) for r in rows}) > 1
-        with pytest.raises(ValueError, match="outcome_rows order"):
-            aggregate_probabilities(rows[::-1])
+        table = outcome_table(b2g_ensemble())
+        assert len(table) > 1
+        with pytest.raises(ValueError, match="outcome_table order"):
+            aggregate_probabilities(dict(reversed(table.items())))
+
+
+def _branch(weight, vec, labels, disposition="keep", amplitude=1.0):
+    record = tuple(OutcomeEvent("s", (), label) for label in labels)
+    return Branch(weight, PureState(1, {(vec,): amplitude}), record, disposition)
+
+
+class TestOutcomeTable:
+    """Groups in sorted key order; within a group, -weight then support, stably."""
+
+    H, V = (1, 0), (0, 1)
+
+    def test_full_tie_keeps_ensemble_order(self):
+        # same label, disposition, weight and support; only the sign differs
+        a = _branch(0.5, self.H, ["3"])
+        b = _branch(0.5, self.H, ["3"], amplitude=-1.0)
+        for order in ((a, b), (b, a)):
+            table = outcome_table(Ensemble(order))
+            assert [id(x) for x in table["3", "keep"]] == [id(x) for x in order]
+
+    def test_weight_tie_broken_by_support(self):
+        light = _branch(0.25, self.H, ["3"])
+        v, h = _branch(0.5, self.V, ["3"]), _branch(0.5, self.H, ["3"])
+        # (0, 1) sorts before (1, 0), so v overtakes h; the heavier branches come first
+        table = outcome_table(Ensemble((light, h, v)))
+        assert table["3", "keep"] == [v, h, light]
+
+    def test_label_prefix_sorts_first(self):
+        branches = (
+            _branch(0.25, self.H, ["31"]),
+            _branch(0.25, self.H, ["3", "1"], "discard"),
+            _branch(0.25, self.H, ["3"]),
+            _branch(0.25, self.H, ["3"], "discard"),
+        )
+        table = outcome_table(Ensemble(branches))
+        assert list(table) == [("3", "discard"), ("3", "keep"), ("3+1", "discard"), ("31", "keep")]
+        rows = outcome_rows(Ensemble(branches))
+        assert [(r.label, r.disposition) for r in rows] == list(table)
 
 
 class TestOutcomeRow:
