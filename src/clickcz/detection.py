@@ -26,8 +26,8 @@ from .fock import (
     OutcomeEvent,
     PRUNE_EPS,
     PureState,
-    _agree,
     _integer,
+    _reuse,
     total_photons,
 )
 
@@ -263,10 +263,8 @@ def _decide(
     action's correction. An outcome with no rule is a hard error, not a
     silent keep; ``rules=None`` keeps every branch as read.
 
-    ``corrected`` maps ``id(action)`` to the (state, corrected state) pairs
-    of the branches of one readout decided before: a state that agrees
-    (``_agree``) with an earlier one under the same action gets that
-    corrected state back.
+    ``corrected`` maps ``id(action)`` to its ``_reuse`` pairs over one readout,
+    so a state that agrees with an earlier one gets that corrected state.
     """
     if rules is None:
         return Branch(weight, state, record)
@@ -274,15 +272,7 @@ def _decide(
     if action is None:
         raise FeedForwardError(f"no feed-forward rule for outcome {key!r}")
     if action.disposition == "keep" and action.elements:
-        done = corrected.setdefault(id(action), [])
-        for before, after in done:
-            if _agree(before, state):
-                state = after
-                break
-        else:
-            after = action.apply(state)
-            done.append((state, after))
-            state = after
+        state = _reuse(corrected.setdefault(id(action), []), state, action.apply)
     return Branch(weight, state, record, action.disposition)
 
 

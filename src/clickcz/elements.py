@@ -23,7 +23,7 @@ import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .fock import FockVector, PureState, _integer, _json_number
+from .fock import FockVector, PureState, _integer, _json_number, _known_keys
 
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
@@ -74,11 +74,7 @@ class ElementDescriptor:
     @staticmethod
     def from_json_dict(data: Mapping) -> "ElementDescriptor":
         """Load the circuit-file form (1-based targets); an unknown key raises ``ValueError``."""
-        if not isinstance(data, Mapping):
-            raise TypeError(f"an element descriptor must be an object, got {data!r}")
-        unknown = [key for key in data if key not in _JSON_KEYS]
-        if unknown:
-            raise ValueError(f"unknown element key(s) {unknown}")
+        _known_keys(data, _JSON_KEYS, "element")
         targets = tuple(_integer(t, "a target") for t in data["targets"])
         if min(targets, default=1) < 1:
             raise ValueError(f"targets are 1-based, got {targets}")

@@ -72,6 +72,15 @@ def _json_number(value: object, what: str) -> float:
     return number
 
 
+def _known_keys(data: object, keys: Sequence[str], what: str) -> None:
+    """Refuse a non-mapping (``TypeError``) or a key outside ``keys`` (``ValueError``)."""
+    if not isinstance(data, Mapping):
+        raise TypeError(f"the {what} must be an object, got {type(data).__name__}")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {unknown}")
+
+
 def as_fock_vector(modes: Iterable[Sequence[int]]) -> FockVector:
     """Coerce nested sequences into a canonical basis-vector tuple.
 
@@ -236,7 +245,7 @@ class PureState:
 
         Rail occupancies are commuting labels, so amplitudes are unchanged.
         """
-        perm = tuple(permutation)
+        perm = tuple(_integer(p, "a mode index") for p in permutation)
         if sorted(perm) != list(range(self.modes)):
             raise ValueError(f"{perm} is not a permutation of 0..{self.modes - 1}")
         amps = {
@@ -274,11 +283,14 @@ class PureState:
         """Load the ``to_json_dict`` form, rejecting anything it cannot write.
 
         ``modes`` is an integer, every ``occ`` a list of integer pairs, and
-        ``re``/``im`` finite numbers; the norm² must be finite too.
+        ``re``/``im`` finite numbers; the norm² must be finite too. Any other
+        key, at the top or in a term, raises ``ValueError``.
         """
+        _known_keys(data, ("modes", "terms"), "state")
         modes = _integer(data["modes"], "modes")
         amps: dict[FockVector, complex] = {}
         for term in data["terms"]:
+            _known_keys(term, ("occ", "re", "im"), "term")
             vec = as_fock_vector(term["occ"])
             if vec in amps:
                 raise ValueError(f"duplicate term {vec}")
@@ -338,6 +350,17 @@ def _agree(a: PureState, b: PureState) -> bool:
         if other is None or abs(amp - other) >= PRUNE_EPS:
             return False
     return True
+
+
+def _reuse(done: list, state: PureState, make: Callable[[PureState], object]):
+    """The result of the first (state, result) pair of ``done`` whose state
+    agrees (``_agree``) with ``state``, else ``make(state)``, appended."""
+    for seen, result in done:
+        if _agree(seen, state):
+            return result
+    result = make(state)
+    done.append((state, result))
+    return result
 
 
 # -- measurement records and ensembles -----------------------------------------
@@ -401,10 +424,8 @@ class Ensemble:
         through unchanged.
 
         The stage runs once per distinct kept state: a parent whose state
-        agrees (``_agree``: same modes, photon cap and support, every
-        amplitude within ``PRUNE_EPS``) with one already staged in this call
-        reuses that result, the same objects. ``stage`` must therefore be a
-        pure function of its input.
+        agrees (``_reuse``) with one staged before in this call gets that
+        result, the same objects, so ``stage`` must be a pure function.
         """
         out: list[Branch] = []
         staged: list[tuple[PureState, Ensemble]] = []
@@ -412,12 +433,7 @@ class Ensemble:
             if parent.disposition != "keep":
                 out.append(parent)
                 continue
-            for seen, result in staged:
-                if _agree(seen, parent.state):
-                    break
-            else:
-                result = stage(parent.state)
-                staged.append((parent.state, result))
+            result = _reuse(staged, parent.state, stage)
             weight, record = parent.weight, parent.record
             out += [
                 Branch(weight * b.weight, b.state, record + b.record, b.disposition)

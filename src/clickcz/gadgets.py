@@ -290,16 +290,8 @@ def _ancilla_stage() -> Ensemble:
     It reads no input, so it is built on the first pipeline call, not at
     import, and that one ensemble of immutable branches serves every call.
     """
-    # both conversions start from the same Bell pairs, so the second reuses
-    # the first's branches under its own site name
-    bell = states.bell_phi_plus()
-    first = b2g(bell.tensor(bell), site="b2g1").ensemble
-    second = Ensemble(
-        tuple(
-            b._replace(record=tuple([e._replace(site="b2g2") for e in b.record]))
-            for b in first.branches
-        )
-    )
+    pairs = states.bell_phi_plus().tensor(states.bell_phi_plus())
+    first, second = (b2g(pairs, site=site).ensemble for site in ("b2g1", "b2g2"))
     return g2a(first.combine(second)).ensemble
 
 

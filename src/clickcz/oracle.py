@@ -6,7 +6,7 @@ tables and stated probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import states, tables
 from .fock import NORM_TOL, Branch, Ensemble, FockVector, ModeMismatchError, PureState
@@ -119,15 +119,6 @@ def density_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 # -- exhaustive outcome enumeration ----------------------------------------------
 
 
-class OutcomeRow(NamedTuple):
-    """One branch as a report reads it; a named tuple, so equality is tuple equality."""
-
-    label: str
-    disposition: str
-    probability: float
-    state: PureState
-
-
 def _default_cz_input() -> PureState:
     return states.product_two_qubit((1, 1), (1, 1))
 
@@ -143,16 +134,16 @@ GADGETS: dict[str, Callable[[PureState | None], GadgetResult]] = {
 }
 
 
-def enumerate_exact(gadget: str, input_state: PureState | None = None) -> list[OutcomeRow]:
-    """All measurement branches of a registered gadget, as ``outcome_rows``.
+def enumerate_exact(gadget: str, input_state: PureState | None = None) -> list[Branch]:
+    """All branches of a registered gadget: ``outcome_table`` flattened.
 
-    The CLI reads its outcomes from ``outcome_table`` directly and builds no
-    row; the readers of this entry point are the tests and the
-    ``perfbench/tracing.py`` boundaries.
+    The CLI reads the table directly; the tests and the
+    ``perfbench/tracing.py`` boundaries read this.
     """
     if gadget not in GADGETS:
         raise ValueError(f"unknown gadget {gadget!r}; expected one of {sorted(GADGETS)}")
-    return outcome_rows(GADGETS[gadget](input_state).ensemble)
+    table = outcome_table(GADGETS[gadget](input_state).ensemble)
+    return [branch for group in table.values() for branch in group]
 
 
 def outcome_table(ensemble: Ensemble) -> dict[tuple[str, str], list[Branch]]:
@@ -184,15 +175,6 @@ def outcome_table(ensemble: Ensemble) -> dict[tuple[str, str], list[Branch]]:
         if len(group) > 1:
             group.sort(key=tie_break)
     return table
-
-
-def outcome_rows(ensemble: Ensemble) -> list[OutcomeRow]:
-    """One row per branch, in canonical order: ``outcome_table`` flattened."""
-    return [
-        OutcomeRow(label, disposition, branch.weight, branch.state)
-        for (label, disposition), group in outcome_table(ensemble).items()
-        for branch in group
-    ]
 
 
 def aggregate_probabilities(

@@ -15,8 +15,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def _ket(letters: str) -> tuple[tuple[int, int], ...]:
-    """Occupancy vector for a product ket written with letters H, V, 0."""
-    table = {"H": H, "V": V, "0": EMPTY}
+    """Occupancy vector of a product ket, one letter per mode: '0' empty,
+    'H' or 'V' one photon, '2' two H photons, 'w' two V photons."""
+    table = {"0": EMPTY, "H": H, "V": V, "2": (2, 0), "w": (0, 2)}
     return tuple(table[c] for c in letters)
 
 

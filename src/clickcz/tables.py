@@ -19,43 +19,29 @@ import cmath
 import math
 
 from .fock import FockVector
+from .states import _ket
 
 OMEGA = cmath.exp(1j * math.pi / 4)
 OMEGA_BAR = OMEGA.conjugate()
 
-_H = (1, 0)
-_V = (0, 1)
-_0 = (0, 0)
-
-
-def _rails(code: str) -> FockVector:
-    """Four-rail ket from a compact code, e.g. 'H...', '.H.V', '2...', '..w.'.
-
-    '.' empty, 'H' one H photon, 'V' one V photon, '2' two H photons,
-    'w' two V photons.
-    """
-    table = {".": _0, "H": _H, "V": _V, "2": (2, 0), "w": (0, 2)}
-    return tuple(table[c] for c in code)
-
-
 # The ten shorthand detector kets over rails (H_a, H_b, V_a, V_b).
 SHORTHAND_KETS: dict[str, FockVector] = {
-    "1": _rails(".H.V"),
-    "2": _rails("H.V."),
-    "3": _rails("H..V"),
-    "4": _rails(".HV."),
-    "5": _rails("HH.."),
-    "6": _rails("..VV"),
-    "7": _rails("2..."),
-    "8": _rails(".2.."),
-    "9": _rails("..w."),
-    "10": _rails("...w"),
+    "1": _ket("0H0V"),
+    "2": _ket("H0V0"),
+    "3": _ket("H00V"),
+    "4": _ket("0HV0"),
+    "5": _ket("HH00"),
+    "6": _ket("00VV"),
+    "7": _ket("2000"),
+    "8": _ket("0200"),
+    "9": _ket("00w0"),
+    "10": _ket("000w"),
 }
 
-_P1 = _rails("H...")
-_P2 = _rails(".H..")
-_P3 = _rails("..V.")
-_P4 = _rails("...V")
+_P1 = _ket("H000")
+_P2 = _ket("0H00")
+_P3 = _ket("00V0")
+_P4 = _ket("000V")
 
 # Table 1: single-photon filter inputs (two-mode kets) -> four-rail outputs.
 TABLE1: dict[str, dict[FockVector, complex]] = {
@@ -103,24 +89,20 @@ def table2_state(key: str) -> dict[FockVector, complex]:
     }
 
 
-def _four_mode(letters: str) -> FockVector:
-    return tuple(_H if c == "H" else _V for c in letters)
-
-
 # Table 3: kept filter outcome -> state of the four untouched modes, for a
 # pure double-GHZ input.  Keyed by outcome label class.
 TABLE3: dict[str, dict[FockVector, complex]] = {
     "5,6": {
-        _four_mode("HHHH"): 0.5 * OMEGA,
-        _four_mode("HHVV"): 0.5j * OMEGA,
-        _four_mode("VVHH"): 0.5j * OMEGA,
-        _four_mode("VVVV"): 0.5 * OMEGA,
+        _ket("HHHH"): 0.5 * OMEGA,
+        _ket("HHVV"): 0.5j * OMEGA,
+        _ket("VVHH"): 0.5j * OMEGA,
+        _ket("VVVV"): 0.5 * OMEGA,
     },
     "3,4": {
-        _four_mode("HHHH"): 0.5 * OMEGA_BAR,
-        _four_mode("HHVV"): -0.5j * OMEGA_BAR,
-        _four_mode("VVHH"): -0.5j * OMEGA_BAR,
-        _four_mode("VVVV"): 0.5 * OMEGA_BAR,
+        _ket("HHHH"): 0.5 * OMEGA_BAR,
+        _ket("HHVV"): -0.5j * OMEGA_BAR,
+        _ket("VVHH"): -0.5j * OMEGA_BAR,
+        _ket("VVVV"): 0.5 * OMEGA_BAR,
     },
 }
 

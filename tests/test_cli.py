@@ -392,21 +392,18 @@ class TestReportWriter:
     def test_outcome_rows_order_unchanged(self, experiment):
         ensemble = oracle.GADGETS[experiment](None).ensemble
         reference = sorted(
-            (
-                oracle.OutcomeRow(b.label, b.disposition, b.weight, b.state)
-                for b in ensemble.branches
-            ),
-            key=lambda r: (
-                r.label,
-                r.disposition,
-                -r.probability,
-                tuple(vec for vec, _ in r.state.items()),
+            ensemble.branches,
+            key=lambda b: (
+                b.label,
+                b.disposition,
+                -b.weight,
+                tuple(vec for vec, _ in b.state.items()),
             ),
         )
-        rows = oracle.outcome_rows(ensemble)
+        rows = [b for group in oracle.outcome_table(ensemble).values() for b in group]
 
         def fingerprint(rs):
-            return [(r.label, r.disposition, r.probability, id(r.state)) for r in rs]
+            return [(r.label, r.disposition, r.weight, id(r.state)) for r in rs]
 
         assert fingerprint(rows) == fingerprint(reference)
 
@@ -645,12 +642,37 @@ class TestInputBoundary:
             ({"occ": [[1, 0], [1, 0]], "re": True}, "re must be a number"),
             ({"occ": [[1, 0], [1, 0]], "re": 1e200}, "norm² of the state overflows"),
             ({"occ": [[1, 0], [1, 0]], "re": 10**400}, "re must be finite"),
+            ({"occ": [[1, 0], [1, 0]], "re": 0.6, "imag": 0.8}, "unknown term key(s) ['imag']"),
         ],
-        ids=["ragged", "float", "triple", "string", "bool", "overflow", "huge-integer"],
+        ids=["ragged", "float", "triple", "string", "bool", "overflow", "huge-integer", "misspelt-key"],
     )
     def test_malformed_term(self, tmp_path, capsys, term, message):
         code, err = self._cz(tmp_path, [term], capsys)
         assert code == 2
+        assert "malformed input state" in err
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "experiment, state, message",
+        [
+            # read as im = 0, a misspelt "imag" would pass as an unnormalized state
+            (
+                "run-circuit",
+                {"modes": 1, "terms": [{"occ": [[1, 0]], "re": 0.6, "imag": 0.8}]},
+                "unknown term key(s) ['imag']",
+            ),
+            ("cz", {"modes": 2, "terms": [], "photon_cap": 8}, "unknown state key(s) ['photon_cap']"),
+        ],
+        ids=["term-key", "state-key"],
+    )
+    def test_unknown_key(self, tmp_path, capsys, experiment, state, message):
+        (tmp_path / "in.json").write_text(json.dumps(state))
+        (tmp_path / "circuit.json").write_text("[]")
+        argv = ["--experiment", experiment, "--input", str(tmp_path / "in.json")]
+        if experiment == "run-circuit":
+            argv += ["--circuit", str(tmp_path / "circuit.json")]
+        assert main(argv + ["--out", "/dev/null"]) == 2
+        err = capsys.readouterr().err
         assert "malformed input state" in err
         assert message in err
 

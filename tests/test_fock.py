@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from typing import Callable
 
 import numpy as np
@@ -14,6 +15,7 @@ from clickcz.fock import (
     PRUNE_EPS,
     PureState,
     _agree,
+    _reuse,
     creation_apply,
 )
 from clickcz.detection import trace_out
@@ -112,6 +114,16 @@ class TestReorder:
             psi.reorder_modes((0, 1))
         with pytest.raises(ValueError):
             psi.reorder_modes((0, 0, 1))
+
+    @pytest.mark.parametrize("perm", [[True, False], [1.0, 0.0], ["1", "0"]], ids=["bool", "float", "str"])
+    def test_non_integer_entry_raises(self, perm):
+        # read as measured modes and element targets are: not truncated, not a bare index error
+        with pytest.raises(TypeError, match="a mode index must be an integer"):
+            PureState(2, {(H, V): 1.0}).reorder_modes(perm)
+
+    def test_numpy_integers_are_read(self):
+        psi = PureState(2, {(H, V): 1.0})
+        assert dict(psi.reorder_modes(np.array([1, 0])).items()) == {(V, H): 1.0}
 
 
 class TestInnerProduct:
@@ -444,6 +456,31 @@ class TestAgree:
         assert not _agree(a, b) and not _agree(b, a)
 
 
+class TestReuse:
+    """``_reuse`` is the one scan for the result of an agreeing state."""
+
+    def test_an_agreeing_state_gets_the_first_result(self):
+        psi = states.ghz_plus()
+        close = TestThen._nudged(psi, PRUNE_EPS / 2)
+        done: list = []
+        made: list = []
+
+        def make(state):
+            made.append(state)
+            return object()
+
+        first = _reuse(done, psi, make)
+        assert _reuse(done, close, make) is first
+        assert made == [psi] and done == [(psi, first)]
+
+    def test_a_distinct_state_is_made_and_appended(self):
+        psi, other = states.ghz_plus(), states.ghz_minus()
+        done: list = []
+        results = [_reuse(done, s, lambda s: s.scaled(1j)) for s in (psi, other, psi)]
+        assert results[0] is results[2] is not results[1]
+        assert [s for s, _ in done] == [psi, other]
+
+
 class TestBranchRecord:
     """``Branch`` is a named tuple: fixed fields, a default record, no assignment."""
 
@@ -549,6 +586,38 @@ class TestSerialization:
         data["terms"].append(dict(data["terms"][0]))
         with pytest.raises(ValueError, match="duplicate term"):
             PureState.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["terms"][0].update(imag=d["terms"][0].pop("im")), "unknown term key(s) ['imag']"),
+            (lambda d: d.update(cap=8), "unknown state key(s) ['cap']"),
+        ],
+        ids=["term", "state"],
+    )
+    def test_unknown_key_rejected(self, edit, message):
+        data = json.loads(states.two_qubit(0.6, 0.8j, 0, 0).to_json())
+        edit(data)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PureState.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ("modes", "the state must be an object, got str"),
+            ([{"modes": 1}], "the state must be an object, got list"),
+            ({"modes": 1, "terms": ["occ"]}, "the term must be an object, got str"),
+        ],
+        ids=["string", "list", "string-term"],
+    )
+    def test_non_object_rejected(self, data, message):
+        # not read as a sequence of keys
+        with pytest.raises(TypeError, match=message):
+            PureState.from_json_dict(data)
+
+    def test_im_stays_optional(self):
+        data = {"modes": 1, "terms": [{"occ": [[1, 0]], "re": 1.0}]}
+        assert PureState.from_json_dict(data).amplitude([[1, 0]]) == 1.0
 
     def test_byte_stability(self):
         psi = states.ghz_plus()

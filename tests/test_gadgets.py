@@ -506,8 +506,8 @@ class TestOneStagingHelper:
         runs = self._counting_then(monkeypatch)
         # the stage's own body, past its cache
         stage = gadgets._ancilla_stage.__wrapped__()
-        # one B2G readout, one filter per distinct register state
-        assert len(reads) == 1 + 4
+        # one B2G readout per register, one filter per distinct register state
+        assert len(reads) == 2 + 4
         assert runs == ["convert"] * 4
         assert stage.keep_weight == pytest.approx(1 / 8, abs=TOL)
 

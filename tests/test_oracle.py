@@ -7,7 +7,6 @@ from clickcz.fock import Branch, Ensemble, OutcomeEvent, PureState
 from clickcz.gadgets import b2g
 from clickcz.oracle import (
     GADGETS,
-    OutcomeRow,
     aggregate_probabilities,
     density_of,
     density_distance,
@@ -15,7 +14,6 @@ from clickcz.oracle import (
     fidelity,
     match_up_to_phase,
     mixture_density,
-    outcome_rows,
     outcome_table,
     partial_ghz_density,
     verify_all_tables,
@@ -79,13 +77,13 @@ class TestEnumeration:
         rows = enumerate_exact("b2g")
         total = {("keep"): 0.0, ("discard"): 0.0}
         for row in rows:
-            total[row.disposition] += row.probability
+            total[row.disposition] += row.weight
         assert total["keep"] == pytest.approx(0.75, abs=TOL)
         assert total["discard"] == pytest.approx(0.25, abs=TOL)
 
     def test_g2a_default(self):
         rows = enumerate_exact("g2a")
-        keep = sum(r.probability for r in rows if r.disposition == "keep")
+        keep = sum(r.weight for r in rows if r.disposition == "keep")
         assert keep == pytest.approx(0.5, abs=TOL)
 
     def test_cz_outcome_structure(self):
@@ -93,13 +91,13 @@ class TestEnumeration:
         kept = [r for r in rows if r.disposition == "keep"]
         assert len(kept) == 16
         for row in kept:
-            assert row.probability == pytest.approx(1 / 64, abs=TOL)
+            assert row.weight == pytest.approx(1 / 64, abs=TOL)
 
     def test_rows_sorted_and_deterministic(self):
         first = enumerate_exact("b2g")
         second = enumerate_exact("b2g")
-        assert [(r.label, r.disposition, r.probability) for r in first] == [
-            (r.label, r.disposition, r.probability) for r in second
+        assert [(r.label, r.disposition, r.weight) for r in first] == [
+            (r.label, r.disposition, r.weight) for r in second
         ]
         labels = [(r.label, r.disposition) for r in first]
         assert labels == sorted(labels)
@@ -122,14 +120,15 @@ class TestAggregation:
         acc = {}
         for row in rows:
             key = (row.label, row.disposition)
-            acc[key] = acc.get(key, 0.0) + row.probability
+            acc[key] = acc.get(key, 0.0) + row.weight
         return [(label, disposition, p) for (label, disposition), p in sorted(acc.items())]
 
     @pytest.mark.parametrize("gadget", ["cz", "pipeline"])
     def test_equals_a_dict_reference(self, gadget):
         ensemble = GADGETS[gadget](None).ensemble
-        got = aggregate_probabilities(outcome_table(ensemble))
-        rows = outcome_rows(ensemble)
+        table = outcome_table(ensemble)
+        got = aggregate_probabilities(table)
+        rows = [b for group in table.values() for b in group]
         assert len(got) < len(rows)
         assert got == self._reference(rows)
 
@@ -177,31 +176,23 @@ class TestOutcomeTable:
         )
         table = outcome_table(Ensemble(branches))
         assert list(table) == [("3", "discard"), ("3", "keep"), ("3+1", "discard"), ("31", "keep")]
-        rows = outcome_rows(Ensemble(branches))
-        assert [(r.label, r.disposition) for r in rows] == list(table)
+        flat = [b for group in table.values() for b in group]
+        assert [(b.label, b.disposition) for b in flat] == list(table)
 
-
-class TestOutcomeRow:
-    """``OutcomeRow`` is a named tuple: fixed fields, no defaults, no assignment."""
-
-    def test_fields(self):
-        assert OutcomeRow._fields == ("label", "disposition", "probability", "state")
-        assert OutcomeRow._field_defaults == {}
-
-    def test_assignment_raises(self):
-        row = OutcomeRow("Hn0", "keep", 0.375, states.ghz_plus())
-        with pytest.raises(AttributeError):
-            row.probability = 1.0
-        with pytest.raises(AttributeError):
-            row.extra = 1
-
-    def test_rows_carry_their_branches(self):
+    def test_flattened_table_holds_every_branch(self):
         ensemble = b2g_ensemble()
-        expected = sorted(
-            (b.label, b.disposition, b.weight, id(b.state)) for b in ensemble.branches
-        )
-        got = sorted((*r[:3], id(r.state)) for r in outcome_rows(ensemble))
-        assert got == expected
+        flat = [b for group in outcome_table(ensemble).values() for b in group]
+        assert sorted(map(id, flat)) == sorted(map(id, ensemble.branches))
+
+    @pytest.mark.parametrize("gadget", sorted(GADGETS))
+    def test_enumeration_is_the_flattened_table(self, gadget):
+        def fields(branches):
+            return [(b.label, b.disposition, b.weight, b.state.items()) for b in branches]
+
+        table = outcome_table(GADGETS[gadget](None).ensemble)
+        rows = enumerate_exact(gadget)
+        assert all(isinstance(b, Branch) for b in rows)
+        assert fields(rows) == fields(b for group in table.values() for b in group)
 
 
 class TestPhaseMatch:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from clickcz import states
+from clickcz import states, tables
 
 H = (1, 0)
 V = (0, 1)
@@ -69,3 +69,31 @@ def test_product_two_qubit():
     assert psi.amplitude((H, H)) == pytest.approx(0.5)
     assert psi.amplitude((H, V)) == pytest.approx(-0.5)
     assert psi.amplitude((V, V)) == pytest.approx(-0.5)
+
+
+class TestKet:
+    """``_ket`` is the one reader of ket letters, for states and tables alike."""
+
+    @pytest.mark.parametrize(
+        "letter, occupancy",
+        [("0", E), ("H", H), ("V", V), ("2", (2, 0)), ("w", (0, 2))],
+    )
+    def test_each_letter(self, letter, occupancy):
+        assert states._ket(letter) == (occupancy,)
+        assert states._ket("0" + letter + "H") == (E, occupancy, H)
+
+    def test_unknown_letter_raises(self):
+        with pytest.raises(KeyError):
+            states._ket("H.V")
+
+    def test_empty_mode_is_not_a_v_photon(self):
+        # a reader that took every letter but H for V would still pass the
+        # table-3 kets, which hold no empty mode
+        assert states._ket("H0") == (H, E)
+        assert states._ket("H0") != (H, V)
+
+    def test_two_photon_shorthand_kets(self):
+        assert tables.SHORTHAND_KETS["7"] == ((2, 0), E, E, E)
+        assert tables.SHORTHAND_KETS["8"] == (E, (2, 0), E, E)
+        assert tables.SHORTHAND_KETS["9"] == (E, E, (0, 2), E)
+        assert tables.SHORTHAND_KETS["10"] == (E, E, E, (0, 2))
