@@ -119,6 +119,11 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
+class _Written(str):
+    """JSON text that ``RunReport.to_json`` wrote itself, at the depth where
+    it goes; the writer appends it as it is."""
+
+
 # How json.dumps writes each scalar type; subclasses use their base's entry.
 _JSON_SCALARS = {
     str: json.encoder.encode_basestring_ascii,
@@ -126,27 +131,30 @@ _JSON_SCALARS = {
     float: _float_text,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
+    _Written: lambda text: text,
 }
 
 
-def _dumps_indented(obj: object) -> str:
+def _dumps_indented(obj: object, depth: int = 0) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` for the types a report holds.
 
     Those are dicts with ``str`` keys, lists, tuples (named tuples included),
     ``str``, ``int``, ``float`` (subclasses such as ``np.float64`` included),
-    booleans and ``None``; anything else raises ``TypeError``. Fragments go to
-    one list, joined once. A container met again at the same depth replays the
-    fragments it wrote the first time: its first replay joins them into one
-    string, and every replay appends that one string. Keying that on
-    ``(id, depth)`` is sound because ``obj`` keeps the whole tree alive for the
-    call, so no id is reused within it. There is no cycle check; a report is a
-    tree.
+    booleans and ``None``; anything else raises ``TypeError``. At ``depth``
+    greater than 0, the text is the one ``obj`` has as a value that many
+    levels down in a larger document: each line after the first is indented
+    ``depth`` levels more. Fragments go to one list, joined once. A
+    container met again at the same depth replays the fragments it wrote the
+    first time: its first replay joins them into one string, and every
+    replay appends that one string. Keying that on ``(id, depth)`` is sound
+    because ``obj`` keeps the whole tree alive for the call, so no id is
+    reused within it. There is no cycle check; a report is a tree.
     """
     scalar = _JSON_SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
     out: list[str] = []
-    _write_json(obj, 0, out, {})
+    _write_json(obj, depth, out, {})
     return "".join(out)
 
 
@@ -201,6 +209,48 @@ def _write_json(
     spans[id(o), depth] = (start, len(out))
 
 
+# The pads of a report row, an item of a list at depth 1, and of its fields.
+_ROW = "\n    "
+_FIELD = "\n      "
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _outcome_row(row: object) -> str:
+    """An ``outcomes`` row at depth 2, in one f-string when it holds exactly
+    a ``str`` label and disposition and a ``float`` probability or frequency;
+    any other row goes through ``_dumps_indented``."""
+    if type(row) is dict and len(row) == 3:
+        label, disposition = row.get("label"), row.get("disposition")
+        probability, frequency = row.get("probability"), row.get("frequency")
+        if type(label) is str and type(disposition) is str:
+            head = f'{{{_FIELD}"disposition": {_encode(disposition)},{_FIELD}'
+            if type(probability) is float:
+                return (
+                    f'{head}"label": {_encode(label)},'
+                    f'{_FIELD}"probability": {_float_text(probability)}{_ROW}}}'
+                )
+            if type(frequency) is float:
+                return (
+                    f'{head}"frequency": {_float_text(frequency)},'
+                    f'{_FIELD}"label": {_encode(label)}{_ROW}}}'
+                )
+    return _dumps_indented(row, 2)
+
+
+def _state_entry(entry: object, written: dict[int, str]) -> str:
+    """A ``success_states`` entry at depth 2, in one f-string when it holds
+    exactly a ``str`` label and a state; the state is written once per
+    object, into ``written``. Any other entry goes through ``_dumps_indented``."""
+    if type(entry) is dict and len(entry) == 2 and "state" in entry:
+        label, state = entry.get("label"), entry["state"]
+        if type(label) is str:
+            text = written.get(id(state))
+            if text is None:
+                text = written[id(state)] = _dumps_indented(state, 3)
+            return f'{{{_FIELD}"label": {_encode(label)},{_FIELD}"state": {text}{_ROW}}}'
+    return _dumps_indented(entry, 2)
+
+
 @dataclass
 class RunReport:
     """A run's outcomes and extras. A sampled run's ``samples`` and ``seed``
@@ -221,7 +271,29 @@ class RunReport:
         return out | self.extras
 
     def to_json(self) -> str:
-        return _dumps_indented(self.to_json_dict()) + "\n"
+        """``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)``, and a newline.
+
+        The report writes the rows it defines itself: each ``outcomes`` row
+        (``_outcome_row``) and each ``success_states`` entry
+        (``_state_entry``, one rendering per distinct state dict) is one
+        f-string. A row of any other shape, and every other key, goes
+        through ``_dumps_indented``.
+        """
+        report = self.to_json_dict()
+        written: dict[int, str] = {}
+        writers = (
+            ("outcomes", _outcome_row),
+            ("success_states", lambda entry: _state_entry(entry, written)),
+        )
+        for key, write in writers:
+            rows = report.get(key)
+            if type(rows) is list:
+                report[key] = [_Written(write(row)) for row in rows]
+        # the newline goes into the one join: the text is copied once, not twice
+        out: list[str] = []
+        _write_json(report, 0, out, {})
+        out.append("\n")
+        return "".join(out)
 
     def to_csv(self) -> str:
         value_key = "frequency" if self.mode == "sample" else "probability"
@@ -304,10 +376,10 @@ def _gadget_report(config: ExperimentConfig) -> tuple[RunReport, int]:
         ghz = states.ghz_plus()
         success = sum(
             (
-                b.weight
+                weight
                 for _, group in kept
-                for b in group
-                if b.state.modes == ghz.modes and b.state.equal_up_to_global_phase(ghz)
+                for weight, state in group
+                if state.modes == ghz.modes and state.equal_up_to_global_phase(ghz)
             ),
             0.0,
         )
@@ -321,10 +393,12 @@ def _gadget_report(config: ExperimentConfig) -> tuple[RunReport, int]:
         outcomes = _probability_outcomes(aggregated)
     if config.emit_states:
         # kept branches share state objects; render each one once
-        distinct = {id(b.state): b.state for _, group in kept for b in group}
+        distinct = {id(state): state for _, group in kept for _, state in group}
         rendered = {key: state.to_json_dict() for key, state in distinct.items()}
         extras["success_states"] = [
-            {"label": label, "state": rendered[id(b.state)]} for label, group in kept for b in group
+            {"label": label, "state": rendered[id(state)]}
+            for label, group in kept
+            for _, state in group
         ]
     return RunReport(config.experiment, config.mode, outcomes, success, extras), 0
 

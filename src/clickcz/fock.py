@@ -15,6 +15,8 @@ the trusted ``PureState._trusted`` path, which only prunes negligible terms.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import json
 import math
 import operator
@@ -421,25 +423,40 @@ class Ensemble:
         ``stage`` maps a state to an ensemble. Each kept parent becomes one
         branch per stage branch, with weights multiplied, records concatenated
         and the stage branch's disposition; every parent not ``"keep"`` passes
-        through unchanged.
+        through unchanged, as the same object.
 
-        The stage runs once per distinct kept state: a parent whose state
-        agrees (``_reuse``) with one staged before in this call gets that
-        result, the same objects, so ``stage`` must be a pure function.
+        The stage runs here, once per distinct kept state: a parent whose
+        state agrees (``_reuse``) with one staged before in this call gets
+        that result, the same objects, so ``stage`` must be a pure function.
+        The result keeps the (parent, stage branches) pairs and builds the
+        product ``branches`` when they are first read, in parent order and
+        then stage order; ``oracle.outcome_table`` reads the pairs instead.
         """
-        out: list[Branch] = []
-        staged: list[tuple[PureState, Ensemble]] = []
+        staged: list[tuple[PureState, Sequence[Branch]]] = []
+
+        def run(state: PureState) -> Sequence[Branch]:
+            return stage(state).branches
+
+        pairs = []
         for parent in self.branches:
-            if parent.disposition != "keep":
-                out.append(parent)
-                continue
-            result = _reuse(staged, parent.state, stage)
-            weight, record = parent.weight, parent.record
-            out += [
-                Branch(weight * b.weight, b.state, record + b.record, b.disposition)
-                for b in result.branches
-            ]
-        return Ensemble(tuple(out))
+            kept = parent.disposition == "keep"
+            pairs.append((parent, _reuse(staged, parent.state, run) if kept else None))
+        return _Staged(tuple(pairs))
+
+    def _factors(self) -> Iterable[tuple[Branch, Sequence[Branch] | None]]:
+        """(parent, stage branches) pairs whose product is ``branches``;
+        ``None`` marks a parent that passes through, as every branch of an
+        ensemble not built by ``then`` does."""
+        return zip(self.branches, itertools.repeat(None))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal branches, whether or not either side was built by ``then``."""
+        if not isinstance(other, Ensemble):
+            return NotImplemented
+        return self.branches == other.branches
+
+    def __hash__(self) -> int:
+        return hash(self.branches)
 
     def combine(self, other: "Ensemble") -> "Ensemble":
         """Branch-wise product: states tensored, weights multiplied.
@@ -458,3 +475,27 @@ class Ensemble:
         ]
         return Ensemble(tuple(out))
 
+
+class _Staged(Ensemble):
+    """``Ensemble.then``'s result: its (parent, stage branches) pairs, and
+    the product ``branches``, built once on first read."""
+
+    def __init__(self, pairs: tuple[tuple[Branch, Sequence[Branch] | None], ...]) -> None:
+        object.__setattr__(self, "_pairs", pairs)
+
+    def _factors(self) -> tuple[tuple[Branch, Sequence[Branch] | None], ...]:
+        return self._pairs
+
+    @functools.cached_property
+    def branches(self) -> tuple[Branch, ...]:
+        out: list[Branch] = []
+        for parent, children in self._pairs:
+            if children is None:
+                out.append(parent)
+                continue
+            weight, record = parent.weight, parent.record
+            out += [
+                Branch(weight * b.weight, b.state, record + b.record, b.disposition)
+                for b in children
+            ]
+        return tuple(out)

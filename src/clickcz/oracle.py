@@ -135,40 +135,85 @@ GADGETS: dict[str, Callable[[PureState | None], GadgetResult]] = {
 
 
 def enumerate_exact(gadget: str, input_state: PureState | None = None) -> list[Branch]:
-    """All branches of a registered gadget: ``outcome_table`` flattened.
+    """All branches of a registered gadget, sorted by (label, disposition,
+    -weight, support): ``outcome_table``'s order, with whole branches.
 
     The CLI reads the table directly; the tests and the
     ``perfbench/tracing.py`` boundaries read this.
     """
     if gadget not in GADGETS:
         raise ValueError(f"unknown gadget {gadget!r}; expected one of {sorted(GADGETS)}")
-    table = outcome_table(GADGETS[gadget](input_state).ensemble)
-    return [branch for group in table.values() for branch in group]
+    return sorted(
+        GADGETS[gadget](input_state).ensemble.branches,
+        key=lambda b: (b.label, b.disposition, -b.weight, tuple(sorted(b.state._amps))),
+    )
 
 
-def outcome_table(ensemble: Ensemble) -> dict[tuple[str, str], list[Branch]]:
-    """The branches grouped by (label, disposition), in canonical order.
+# A table member: the weight and state of one branch.
+_Member = tuple[float, PureState]
 
-    One pass groups the branches, each label joined once as ``Branch.label``
-    joins it. The keys come out sorted. Within a group of more than one
-    branch, the branches are sorted stably by (-weight, sorted support of the
-    state), so full ties keep ensemble order; the support is computed once
-    per distinct state object (branches share states after
-    ``Ensemble.then``). Flattened, this is every branch sorted by (label,
-    disposition, -weight, support).
+
+def _stage_groups(
+    children: Sequence[Branch], after_record: bool
+) -> list[tuple[str, str, list[_Member]]]:
+    """A stage's branches grouped by (the text each adds to its parent's
+    label, disposition), in stage order within a group.
+
+    After a parent's record, a record adds ``"+"`` and its own label, and an
+    empty record adds nothing; after an empty record, the text is the label.
+    So one parent's groups go to distinct table keys.
     """
-    groups: dict[tuple[str, str], list[Branch]] = {}
-    for branch in ensemble.branches:
-        key = ("+".join([e.label for e in branch.record]), branch.disposition)
-        groups.setdefault(key, []).append(branch)
+    groups: dict[tuple[str, str], list[_Member]] = {}
+    for b in children:
+        text = "+".join([e.label for e in b.record])
+        if after_record and b.record:
+            text = "+" + text
+        groups.setdefault((text, b.disposition), []).append((b.weight, b.state))
+    return [(text, disposition, members) for (text, disposition), members in groups.items()]
 
+
+def outcome_table(ensemble: Ensemble) -> dict[tuple[str, str], list[_Member]]:
+    """The ensemble's (weight, state) pairs grouped by (label, disposition),
+    in canonical order.
+
+    It reads the ensemble's factors (``Ensemble.then`` keeps them), not the
+    product: each parent's label is joined once, each distinct stage result
+    is grouped once, and a parent adds each of its stage groups to the table
+    at once, weighted ``parent.weight * child.weight`` as ``then`` weights
+    them. Members are collected in the product's order. The keys come out
+    sorted; within a group of more than one member, the members are sorted
+    stably by (-weight, sorted support of the state), so full ties keep
+    ensemble order. That sort runs once, on the product weights: a tie that
+    rounding makes in a product is broken by the support. Flattened, this
+    is every branch sorted by (label, disposition, -weight, support).
+    """
+    groups: dict[tuple[str, str], list[_Member]] = {}
+    # each distinct stage result's groups, for a parent with a record and without
+    staged: dict[tuple[int, bool], list[tuple[str, str, list[_Member]]]] = {}
+    for parent, children in ensemble._factors():
+        label = "+".join([e.label for e in parent.record])
+        if children is None:
+            groups.setdefault((label, parent.disposition), []).append((parent.weight, parent.state))
+            continue
+        after_record = bool(parent.record)
+        parts = staged.get((id(children), after_record))
+        if parts is None:
+            parts = staged[id(children), after_record] = _stage_groups(children, after_record)
+        weight = parent.weight
+        for text, disposition, members in parts:
+            key = (label + text if after_record else text, disposition)
+            groups.setdefault(key, []).extend([(weight * w, s) for w, s in members])
+
+    # the support is computed once per distinct state object; the ensemble
+    # keeps every state alive, so no id is reused meanwhile
     supports: dict[int, tuple[FockVector, ...]] = {}
 
-    def tie_break(branch: Branch) -> tuple[float, tuple[FockVector, ...]]:
-        support = supports.get(id(branch.state))
+    def tie_break(member: _Member) -> tuple[float, tuple[FockVector, ...]]:
+        weight, state = member
+        support = supports.get(id(state))
         if support is None:
-            support = supports[id(branch.state)] = tuple(sorted(branch.state._amps))
-        return -branch.weight, support
+            support = supports[id(state)] = tuple(sorted(state._amps))
+        return -weight, support
 
     table = {key: groups[key] for key in sorted(groups)}
     for group in table.values():
@@ -178,11 +223,12 @@ def outcome_table(ensemble: Ensemble) -> dict[tuple[str, str], list[Branch]]:
 
 
 def aggregate_probabilities(
-    table: Mapping[tuple[str, str], Sequence[Branch]],
+    table: Mapping[tuple[str, str], Sequence[_Member]],
 ) -> list[tuple[str, str, float]]:
     """Total probability per (label, disposition) of an ``outcome_table``.
 
-    Each group's weights are summed from 0.0 in group order. The keys must
+    The weights of each group's (weight, state) pairs are summed from 0.0 in
+    group order. The keys must
     come in ``outcome_table`` order; a key that sorts before the one ahead
     of it raises ``ValueError``.
     """
@@ -195,8 +241,8 @@ def aggregate_probabilities(
             )
         # a += loop, not sum(), which Python 3.12 made compensated
         total = 0.0
-        for branch in group:
-            total += branch.weight
+        for weight, _ in group:
+            total += weight
         out.append((*key, total))
         previous = key
     return out

@@ -158,6 +158,21 @@ class TestRunCircuit:
         with pytest.raises(ConfigError):
             run(ExperimentConfig(experiment="run-circuit"))
 
+    @pytest.mark.parametrize(
+        "terms, norm2",
+        [([{"occ": [[1, 0]], "re": 0.6}], 0.36), ([], 0.0)],
+        ids=["re-0.6", "no-terms"],
+    )
+    def test_any_state_runs_and_reports_its_norm2(self, tmp_path, terms, norm2):
+        # only the gadget experiments require a normalized input
+        state_path, circuit_path = tmp_path / "in.json", tmp_path / "circuit.json"
+        state_path.write_text(json.dumps({"modes": 1, "terms": terms}))
+        circuit_path.write_text(json.dumps([{"kind": "PR", "targets": [1], "theta": 0.3}]))
+        out = tmp_path / "out.json"
+        argv = ["--experiment", "run-circuit", "--input", str(state_path)]
+        assert main(argv + ["--circuit", str(circuit_path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["norm2"] == pytest.approx(norm2, abs=TOL)
+
     def test_missing_circuit_exit_code(self, tmp_path, capsys):
         state_path = tmp_path / "in.json"
         state_path.write_text(states.qubit(1, 0).to_json())
@@ -400,12 +415,91 @@ class TestReportWriter:
                 tuple(vec for vec, _ in b.state.items()),
             ),
         )
-        rows = [b for group in oracle.outcome_table(ensemble).values() for b in group]
+        table = oracle.outcome_table(ensemble)
+        rows = [(*key, w, id(state)) for key, group in table.items() for w, state in group]
+        assert rows == [(b.label, b.disposition, b.weight, id(b.state)) for b in reference]
 
-        def fingerprint(rs):
-            return [(r.label, r.disposition, r.weight, id(r.state)) for r in rs]
+    _ROW = {"label": "Hn0", "disposition": "keep", "probability": 0.375}
+    _STATE = {"modes": 1, "terms": [{"occ": [[1, 0]], "re": 0.6, "im": -0.8}]}
 
-        assert fingerprint(rows) == fingerprint(reference)
+    @pytest.mark.parametrize(
+        "outcomes",
+        [
+            [{**_ROW, "note": "x"}],
+            [{**_ROW, "probability": 1}],
+            [{**_ROW, "probability": np.float64(0.1)}],
+            [{**_ROW, "probability": True}],
+            [{**_ROW, "label": "é\u2603\n"}],
+            [{**_ROW, "label": np.str_("Hn0")}],
+            [{**_ROW, "label": 3}],
+            [{**_ROW, "probability": math.inf}, {**_ROW, "probability": math.nan}],
+            [{"label": "a", "disposition": "keep", "frequency": 0.25}],
+            [{"label": "a", "disposition": "keep", "frequency": 1}],
+            [{**_ROW, "frequency": 0.25}],
+            [{"label": "a", "disposition": "keep"}],
+            [{"label": "a", "probability": 0.5, "frequency": 0.5}],
+            [_ROW, {**_ROW, "extra": [1, {"x": None}]}, _ROW],
+            [["not", "a", "dict"], "row", 2.5],
+            [],
+            (_ROW, _ROW),
+        ],
+        ids=[
+            "extra-key",
+            "int-value",
+            "np-float-value",
+            "bool-value",
+            "non-ascii-label",
+            "str-subclass-label",
+            "int-label",
+            "non-finite",
+            "frequency",
+            "int-frequency",
+            "both-values",
+            "no-value",
+            "no-disposition",
+            "mixed-rows",
+            "non-dict-rows",
+            "no-rows",
+            "tuple-of-rows",
+        ],
+    )
+    def test_outcome_rows_of_any_shape_match_stdlib(self, outcomes):
+        report = RunReport("x", "enumerate", outcomes, 0.5, {"success_states": outcomes})
+        expected = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert report.to_json() == expected
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [{"label": "a", "state": _STATE}, {"label": "b", "state": _STATE}],
+            [{"label": "é", "state": _STATE}],
+            [{"label": "a", "state": _STATE, "extra": 1}],
+            [{"label": 1, "state": _STATE}],
+            [{"label": "a", "state": "not a dict"}, {"label": "b", "state": [_STATE, 2]}],
+            [{"label": "a"}, {"state": _STATE}, {"label": "a", "other": _STATE}],
+            # one state dict, met at its own depth and at another
+            [{"label": "a", "state": _STATE}, {"label": "b", "state": {"inner": _STATE}}],
+        ],
+        ids=[
+            "shared-state",
+            "non-ascii-label",
+            "extra-key",
+            "int-label",
+            "other-state-values",
+            "other-keys",
+            "state-at-two-depths",
+        ],
+    )
+    def test_state_entries_of_any_shape_match_stdlib(self, entries):
+        report = RunReport("x", "enumerate", [self._ROW], None, {"success_states": entries})
+        expected = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert report.to_json() == expected
+
+    def test_extras_may_replace_the_outcomes(self):
+        extras = {"outcomes": [{"label": 1}], "samples": 3}
+        report = RunReport("x", "sample", [self._ROW], None, extras)
+        expected = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert report.to_json() == expected
 
     @pytest.mark.parametrize(
         "value",

@@ -20,7 +20,7 @@ from clickcz.fock import (
 )
 from clickcz.detection import trace_out
 from clickcz import states
-from clickcz.gadgets import b2g, g2a
+from clickcz.gadgets import b2g, cz_gate, g2a
 
 from conftest import assert_states_equal, random_state
 
@@ -436,6 +436,89 @@ class TestOncePerState:
         assert calls == [psi, changed]
         # each result stays with its own state
         assert out[0] is psi and out[1] is changed and out[2] is psi
+
+
+def _memo(stage: Callable[[PureState], Ensemble]) -> Callable[[PureState], Ensemble]:
+    """``stage`` with one result per input object, so that ``then`` and the
+    eager reference see the same stage branches."""
+    results: dict[int, tuple[PureState, Ensemble]] = {}
+
+    def memo(state: PureState) -> Ensemble:
+        if id(state) not in results:
+            results[id(state)] = (state, stage(state))
+        return results[id(state)][1]
+
+    return memo
+
+
+def _eager_then(ensemble: Ensemble, stage: Callable[[PureState], Ensemble]) -> tuple[Branch, ...]:
+    """The product of ``then``, built eagerly, branch by branch, as a reference."""
+    out: list[Branch] = []
+    staged: list = []
+    for parent in ensemble.branches:
+        if parent.disposition != "keep":
+            out.append(parent)
+            continue
+        for b in _reuse(staged, parent.state, stage).branches:
+            out.append(
+                Branch(parent.weight * b.weight, b.state, parent.record + b.record, b.disposition)
+            )
+    return tuple(out)
+
+
+class TestStagedThen:
+    """``then`` keeps its factors; its flattened ``branches`` are the eager product."""
+
+    @staticmethod
+    def _check(ensemble: Ensemble, stage: Callable[[PureState], Ensemble]) -> Ensemble:
+        stage = _memo(stage)
+        out = ensemble.then(stage)
+        eager = _eager_then(ensemble, stage)
+        # field for field and in order; a state compares by identity
+        assert out.branches == eager
+        assert out == Ensemble(eager)
+        # every parent that passes through is the same object, at the same place
+        parents = {id(p) for p in ensemble.branches}
+        assert [i for i, b in enumerate(out.branches) if id(b) in parents] == [
+            i for i, b in enumerate(eager) if id(b) in parents
+        ]
+        return out
+
+    def test_a_stage_of_a_stage(self):
+        pair = states.bell_phi_plus().tensor(states.bell_phi_plus())
+        registers = b2g(pair, site="b2g1").ensemble.combine(b2g(pair, site="b2g2").ensemble)
+        ancilla = self._check(registers, lambda s: g2a(s).ensemble)
+        assert len(ancilla.branches) == 77
+        assert sum(b.disposition != "keep" for b in ancilla.branches) > 0
+        gate_input = states.two_qubit(1, 1j, -1, 0.5)
+        gated = self._check(ancilla, lambda a: cz_gate(gate_input, ancilla=a).ensemble)
+        assert len(gated.branches) == 1085
+        assert gated.keep_weight == pytest.approx(1 / 32, abs=1e-12)
+
+    def test_a_parent_with_an_empty_record(self):
+        registers = Ensemble.pure(states.ghz_plus().tensor(states.ghz_plus()))
+        out = self._check(registers, lambda s: g2a(s).ensemble)
+        assert all(b.record for b in out.branches)
+        assert out.keep_weight == pytest.approx(0.5, abs=1e-12)
+
+    def test_two_parents_that_share_one_label(self):
+        psi, phi = states.ghz_plus(), states.v0h()
+        parents = (
+            Branch(0.5, psi, (_event("p"),)),
+            Branch(0.25, phi, (_event("p"),), "discard"),
+            Branch(0.25, phi, (_event("p"),)),
+        )
+        out = self._check(Ensemble(parents), TestThen()._stage)
+        assert [b.label for b in out.branches] == ["p+s1", "p+s2", "p", "p+s1", "p+s2"]
+
+    def test_a_stage_branch_with_an_empty_record(self):
+        parents = (Branch(0.5, states.ghz_plus(), (_event("p"),)), Branch(0.5, states.v0h()))
+        out = self._check(Ensemble(parents), Ensemble.pure)
+        assert [b.label for b in out.branches] == ["p", ""]
+
+    def test_branches_are_built_once(self):
+        out = Ensemble((Branch(1.0, states.ghz_plus()),)).then(TestThen()._stage)
+        assert out.branches is out.branches
 
 
 class TestAgree:

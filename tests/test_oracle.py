@@ -1,10 +1,11 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 
 from clickcz.fock import Branch, Ensemble, OutcomeEvent, PureState
-from clickcz.gadgets import b2g
+from clickcz.gadgets import b2g, g2a
 from clickcz.oracle import (
     GADGETS,
     aggregate_probabilities,
@@ -118,9 +119,9 @@ class TestAggregation:
     @staticmethod
     def _reference(rows):
         acc = {}
-        for row in rows:
-            key = (row.label, row.disposition)
-            acc[key] = acc.get(key, 0.0) + row.weight
+        for label, disposition, weight in rows:
+            key = (label, disposition)
+            acc[key] = acc.get(key, 0.0) + weight
         return [(label, disposition, p) for (label, disposition), p in sorted(acc.items())]
 
     @pytest.mark.parametrize("gadget", ["cz", "pipeline"])
@@ -128,7 +129,7 @@ class TestAggregation:
         ensemble = GADGETS[gadget](None).ensemble
         table = outcome_table(ensemble)
         got = aggregate_probabilities(table)
-        rows = [b for group in table.values() for b in group]
+        rows = [(*key, weight) for key, group in table.items() for weight, _ in group]
         assert len(got) < len(rows)
         assert got == self._reference(rows)
 
@@ -158,14 +159,14 @@ class TestOutcomeTable:
         b = _branch(0.5, self.H, ["3"], amplitude=-1.0)
         for order in ((a, b), (b, a)):
             table = outcome_table(Ensemble(order))
-            assert [id(x) for x in table["3", "keep"]] == [id(x) for x in order]
+            assert [id(state) for _, state in table["3", "keep"]] == [id(x.state) for x in order]
 
     def test_weight_tie_broken_by_support(self):
         light = _branch(0.25, self.H, ["3"])
         v, h = _branch(0.5, self.V, ["3"]), _branch(0.5, self.H, ["3"])
         # (0, 1) sorts before (1, 0), so v overtakes h; the heavier branches come first
         table = outcome_table(Ensemble((light, h, v)))
-        assert table["3", "keep"] == [v, h, light]
+        assert table["3", "keep"] == [(b.weight, b.state) for b in (v, h, light)]
 
     def test_label_prefix_sorts_first(self):
         branches = (
@@ -176,23 +177,94 @@ class TestOutcomeTable:
         )
         table = outcome_table(Ensemble(branches))
         assert list(table) == [("3", "discard"), ("3", "keep"), ("3+1", "discard"), ("31", "keep")]
-        flat = [b for group in table.values() for b in group]
-        assert [(b.label, b.disposition) for b in flat] == list(table)
+        # each group holds the one branch its key names
+        assert list(table.values()) == [[(b.weight, b.state)] for b in reversed(branches)]
 
     def test_flattened_table_holds_every_branch(self):
         ensemble = b2g_ensemble()
-        flat = [b for group in outcome_table(ensemble).values() for b in group]
-        assert sorted(map(id, flat)) == sorted(map(id, ensemble.branches))
+        flat = [(w, id(s)) for group in outcome_table(ensemble).values() for w, s in group]
+        assert sorted(flat) == sorted((b.weight, id(b.state)) for b in ensemble.branches)
 
     @pytest.mark.parametrize("gadget", sorted(GADGETS))
     def test_enumeration_is_the_flattened_table(self, gadget):
-        def fields(branches):
-            return [(b.label, b.disposition, b.weight, b.state.items()) for b in branches]
-
         table = outcome_table(GADGETS[gadget](None).ensemble)
         rows = enumerate_exact(gadget)
         assert all(isinstance(b, Branch) for b in rows)
-        assert fields(rows) == fields(b for group in table.values() for b in group)
+        assert [(b.label, b.disposition, b.weight, b.state.items()) for b in rows] == [
+            (*key, weight, state.items()) for key, group in table.items() for weight, state in group
+        ]
+
+
+class TestStagedOutcomeTable:
+    """The table of an ``Ensemble.then`` result, read from its factors, is the
+    table of its flattened branches: the same keys, members and order."""
+
+    H, V = (1, 0), (0, 1)
+
+    @staticmethod
+    def _same_as_flattened(staged: Ensemble) -> dict:
+        table = outcome_table(staged)
+        flattened = outcome_table(Ensemble(staged.branches))
+        assert list(table.items()) == list(flattened.items())
+        return table
+
+    @staticmethod
+    def _stage(*branches: Branch):
+        return lambda state: Ensemble(branches)
+
+    def test_pipeline(self):
+        ensemble = GADGETS["pipeline"](None).ensemble
+        table = self._same_as_flattened(ensemble)
+        assert sum(map(len, table.values())) == len(ensemble.branches)
+
+    def test_parent_with_an_empty_record(self):
+        # g2a stages its registers from Ensemble.pure: the parent's record is empty
+        self._same_as_flattened(g2a(states.ghz_plus().tensor(states.ghz_plus())).ensemble)
+
+    def test_empty_records_and_labels_join_as_branch_label_joins(self):
+        empty_label = (OutcomeEvent("s", (), ""),)
+        children = (
+            _branch(0.5, self.H, ["a"]),
+            Branch(0.25, PureState(1, {(self.V,): 1.0})),
+            Branch(0.25, PureState(1, {(self.H,): 1.0}), empty_label),
+        )
+        parents = Ensemble(
+            (
+                _branch(0.5, self.H, ["p"]),
+                Branch(0.25, PureState(1, {(self.H,): 1.0})),
+                Branch(0.25, PureState(1, {(self.V,): 1.0}), empty_label),
+            )
+        )
+        table = self._same_as_flattened(parents.then(self._stage(*children)))
+        # a record adds "+" after a parent's record, an empty record adds
+        # nothing; so "" holds three pairs, two of them from one parent
+        assert list(table) == [
+            ("", "keep"), ("+", "keep"), ("+a", "keep"), ("a", "keep"), ("p", "keep"),
+            ("p+", "keep"), ("p+a", "keep"),
+        ]
+        assert [w for w, _ in table["", "keep"]] == [0.0625] * 3
+
+    def test_parents_that_share_one_label(self):
+        children = (_branch(0.5, self.H, ["s"]), _branch(0.5, self.V, ["s"], "discard"))
+        parents = Ensemble(
+            (
+                _branch(0.5, self.V, ["p"]),
+                _branch(0.25, self.H, ["p"], "discard"),
+                _branch(0.25, self.H, ["p"]),
+            )
+        )
+        table = self._same_as_flattened(parents.then(self._stage(*children)))
+        assert [w for w, _ in table["p+s", "keep"]] == [0.25, 0.125]
+
+    def test_product_weight_tie_broken_by_support(self):
+        # two child weights one ulp apart give one product weight, and the
+        # support then puts the lighter child first: a sort per factor would not
+        heavy, light = 0.75, math.nextafter(0.75, 0.0)
+        assert heavy > light and 0.7 * heavy == 0.7 * light
+        h, v = _branch(heavy, self.H, ["s"]), _branch(light, self.V, ["s"])
+        parent = _branch(0.7, self.H, ["p"])
+        table = self._same_as_flattened(Ensemble((parent,)).then(self._stage(h, v)))
+        assert table["p+s", "keep"] == [(0.7 * light, v.state), (0.7 * heavy, h.state)]
 
 
 class TestPhaseMatch:
