@@ -119,11 +119,6 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-class _Written(str):
-    """JSON text that ``RunReport.to_json`` wrote itself, at the depth where
-    it goes; the writer appends it as it is."""
-
-
 # How json.dumps writes each scalar type; subclasses use their base's entry.
 _JSON_SCALARS = {
     str: json.encoder.encode_basestring_ascii,
@@ -131,7 +126,6 @@ _JSON_SCALARS = {
     float: _float_text,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
-    _Written: lambda text: text,
 }
 
 
@@ -149,6 +143,9 @@ def _dumps_indented(obj: object, depth: int = 0) -> str:
     replay appends that one string. Keying that on ``(id, depth)`` is sound
     because ``obj`` keeps the whole tree alive for the call, so no id is
     reused within it. There is no cycle check; a report is a tree.
+    ``RunReport.to_json`` calls this for a row (depth 2) or kept state
+    (depth 3) of a shape its own writers do not take, and ``_write_json``
+    for its other keys, into its one output list.
     """
     scalar = _JSON_SCALARS.get(type(obj))
     if scalar is not None:
@@ -209,46 +206,126 @@ def _write_json(
     spans[id(o), depth] = (start, len(out))
 
 
-# The pads of a report row, an item of a list at depth 1, and of its fields.
-_ROW = "\n    "
-_FIELD = "\n      "
 _encode = json.encoder.encode_basestring_ascii
 
 
-def _outcome_row(row: object) -> str:
-    """An ``outcomes`` row at depth 2, in one f-string when it holds exactly
-    a ``str`` label and disposition and a ``float`` probability or frequency;
-    any other row goes through ``_dumps_indented``."""
-    if type(row) is dict and len(row) == 3:
-        label, disposition = row.get("label"), row.get("disposition")
-        probability, frequency = row.get("probability"), row.get("frequency")
-        if type(label) is str and type(disposition) is str:
-            head = f'{{{_FIELD}"disposition": {_encode(disposition)},{_FIELD}'
-            if type(probability) is float:
-                return (
-                    f'{head}"label": {_encode(label)},'
-                    f'{_FIELD}"probability": {_float_text(probability)}{_ROW}}}'
-                )
-            if type(frequency) is float:
-                return (
-                    f'{head}"frequency": {_float_text(frequency)},'
-                    f'{_FIELD}"label": {_encode(label)}{_ROW}}}'
-                )
-    return _dumps_indented(row, 2)
+class _FloatTexts(dict):
+    """Each float's JSON text, made once per report. A zero is never a key:
+    ``0.0 == -0.0``, but their texts differ. No NaN finds another NaN, so
+    its text is made again, which is correct."""
+
+    def __missing__(self, x: float) -> str:
+        text = _float_text(x)
+        if x:
+            self[x] = text
+        return text
 
 
-def _state_entry(entry: object, written: dict[int, str]) -> str:
-    """A ``success_states`` entry at depth 2, in one f-string when it holds
-    exactly a ``str`` label and a state; the state is written once per
-    object, into ``written``. Any other entry goes through ``_dumps_indented``."""
-    if type(entry) is dict and len(entry) == 2 and "state" in entry:
-        label, state = entry.get("label"), entry["state"]
-        if type(label) is str:
-            text = written.get(id(state))
-            if text is None:
-                text = written[id(state)] = _dumps_indented(state, 3)
-            return f'{{{_FIELD}"label": {_encode(label)},{_FIELD}"state": {text}{_ROW}}}'
-    return _dumps_indented(entry, 2)
+# The writers below put the pads in their f-strings as literal text: a row
+# is an item of a list at depth 1, so its braces sit at 4 spaces and its
+# fields at 6; a state is a value at depth 3, so its fields sit at 8, its
+# terms at 10, a term's fields at 12, an occupancy pair at 14 and the
+# pair's entries at 16.
+
+
+def _write_outcomes(rows: list, out: list[str], floats: _FloatTexts) -> None:
+    """Append an ``outcomes`` list at depth 1. A row that holds exactly a
+    ``str`` label and disposition and a ``float`` probability or frequency is
+    one f-string; any other row goes through ``_dumps_indented``."""
+    sep = "[\n    "
+    for row in rows:
+        if type(row) is dict and len(row) == 3:
+            label, disposition = row.get("label"), row.get("disposition")
+            if type(label) is str and type(disposition) is str:
+                value = row.get("probability")
+                if type(value) is float:
+                    out.append(
+                        f'{sep}{{\n      "disposition": {_encode(disposition)},'
+                        f'\n      "label": {_encode(label)},'
+                        f'\n      "probability": {floats[value]}\n    }}'
+                    )
+                    sep = ",\n    "
+                    continue
+                value = row.get("frequency")
+                if type(value) is float:
+                    out.append(
+                        f'{sep}{{\n      "disposition": {_encode(disposition)},'
+                        f'\n      "frequency": {floats[value]},'
+                        f'\n      "label": {_encode(label)}\n    }}'
+                    )
+                    sep = ",\n    "
+                    continue
+        out += (sep, _dumps_indented(row, 2))
+        sep = ",\n    "
+    out.append("\n  ]" if rows else "[]")
+
+
+def _state_text(state: object, floats: _FloatTexts) -> str | None:
+    """A state at depth 3 in its ``PureState.to_json_dict`` form: an ``int``
+    ``modes`` and a list of one or more terms, each exactly a ``float``
+    ``im`` and ``re`` and an ``occ`` that is a list of one or more ``[int,
+    int]`` lists. ``None`` for a state of any other shape."""
+    if type(state) is not dict or len(state) != 2:
+        return None
+    modes, terms = state.get("modes"), state.get("terms")
+    if type(modes) is not int or type(terms) is not list or not terms:
+        return None
+    parts = [f'{{\n        "modes": {modes},\n        "terms": [']
+    sep = "\n          "
+    for term in terms:
+        if type(term) is not dict or len(term) != 3:
+            return None
+        im, occ, re = term.get("im"), term.get("occ"), term.get("re")
+        if type(im) is not float or type(re) is not float or type(occ) is not list or not occ:
+            return None
+        parts.append(f'{sep}{{\n            "im": {floats[im]},\n            "occ": [')
+        pair_sep = "\n              "
+        for pair in occ:
+            if type(pair) is not list or len(pair) != 2:
+                return None
+            a, b = pair
+            if type(a) is not int or type(b) is not int:
+                return None
+            parts.append(
+                f"{pair_sep}[\n                {a},\n                {b}\n              ]"
+            )
+            pair_sep = ",\n              "
+        parts.append(f'\n            ],\n            "re": {floats[re]}\n          }}')
+        sep = ",\n          "
+    parts.append("\n        ]\n      }")
+    return "".join(parts)
+
+
+def _write_state_entries(entries: list, out: list[str], floats: _FloatTexts) -> None:
+    """Append a ``success_states`` list at depth 1. An entry that holds
+    exactly a ``str`` label and a state adds its head, its state's text and
+    its tail; each state object is written once (``_state_text``, or
+    ``_dumps_indented`` for another shape), and every entry that holds it
+    appends that one string. Any other entry goes through ``_dumps_indented``."""
+    written: dict[int, str] = {}
+    sep = "[\n    "
+    for entry in entries:
+        if type(entry) is dict and len(entry) == 2 and "state" in entry:
+            label, state = entry.get("label"), entry["state"]
+            if type(label) is str:
+                text = written.get(id(state))
+                if text is None:
+                    text = _state_text(state, floats) or _dumps_indented(state, 3)
+                    written[id(state)] = text
+                out += (
+                    f'{sep}{{\n      "label": {_encode(label)},\n      "state": ',
+                    text,
+                    "\n    }",
+                )
+                sep = ",\n    "
+                continue
+        out += (sep, _dumps_indented(entry, 2))
+        sep = ",\n    "
+    out.append("\n  ]" if entries else "[]")
+
+
+# The report's lists that it writes itself, by key.
+_LIST_WRITERS = {"outcomes": _write_outcomes, "success_states": _write_state_entries}
 
 
 @dataclass
@@ -273,26 +350,33 @@ class RunReport:
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)``, and a newline.
 
-        The report writes the rows it defines itself: each ``outcomes`` row
-        (``_outcome_row``) and each ``success_states`` entry
-        (``_state_entry``, one rendering per distinct state dict) is one
-        f-string. A row of any other shape, and every other key, goes
-        through ``_dumps_indented``.
+        The report writes the lists it defines itself (``_write_outcomes``,
+        ``_write_state_entries``) and makes each value text once: one text
+        per distinct float (``_FloatTexts``), and one per distinct state
+        object, which every entry holding that state appends by reference.
+        Every other key, and a row or state of another shape, goes through
+        the generic writer. All fragments go to one list, joined once with
+        the final newline, so the text is copied once.
         """
         report = self.to_json_dict()
-        written: dict[int, str] = {}
-        writers = (
-            ("outcomes", _outcome_row),
-            ("success_states", lambda entry: _state_entry(entry, written)),
-        )
-        for key, write in writers:
-            rows = report.get(key)
-            if type(rows) is list:
-                report[key] = [_Written(write(row)) for row in rows]
-        # the newline goes into the one join: the text is copied once, not twice
+        floats = _FloatTexts()
         out: list[str] = []
-        _write_json(report, 0, out, {})
-        out.append("\n")
+        spans: dict[tuple[int, int], tuple[int, int] | str] = {}
+        sep = "{\n  "
+        for key in sorted(report):
+            value = report[key]
+            out.append(f"{sep}{_encode(key)}: ")
+            sep = ",\n  "
+            write = _LIST_WRITERS.get(key)
+            if write is not None and type(value) is list:
+                write(value, out, floats)
+                continue
+            scalar = _JSON_SCALARS.get(type(value))
+            if scalar is not None:
+                out.append(scalar(value))
+            else:
+                _write_json(value, 1, out, spans)
+        out.append("\n}\n")
         return "".join(out)
 
     def to_csv(self) -> str:

@@ -5,6 +5,7 @@ tables and stated probabilities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -149,63 +150,17 @@ def enumerate_exact(gadget: str, input_state: PureState | None = None) -> list[B
     )
 
 
-# A table member: the weight and state of one branch.
+# A table member: the weight and state of one branch, and the key it sorts by.
 _Member = tuple[float, PureState]
+_SortKey = Callable[[_Member], tuple[float, tuple[FockVector, ...]]]
 
 
-def _stage_groups(
-    children: Sequence[Branch], after_record: bool
-) -> list[tuple[str, str, list[_Member]]]:
-    """A stage's branches grouped by (the text each adds to its parent's
-    label, disposition), in stage order within a group.
+def _tie_breaker() -> _SortKey:
+    """The table's member sort key, (-weight, sorted support of the state).
 
-    After a parent's record, a record adds ``"+"`` and its own label, and an
-    empty record adds nothing; after an empty record, the text is the label.
-    So one parent's groups go to distinct table keys.
+    The support is computed once per distinct state object; the ensemble
+    keeps every state alive, so no id is reused meanwhile.
     """
-    groups: dict[tuple[str, str], list[_Member]] = {}
-    for b in children:
-        text = "+".join([e.label for e in b.record])
-        if after_record and b.record:
-            text = "+" + text
-        groups.setdefault((text, b.disposition), []).append((b.weight, b.state))
-    return [(text, disposition, members) for (text, disposition), members in groups.items()]
-
-
-def outcome_table(ensemble: Ensemble) -> dict[tuple[str, str], list[_Member]]:
-    """The ensemble's (weight, state) pairs grouped by (label, disposition),
-    in canonical order.
-
-    It reads the ensemble's factors (``Ensemble.then`` keeps them), not the
-    product: each parent's label is joined once, each distinct stage result
-    is grouped once, and a parent adds each of its stage groups to the table
-    at once, weighted ``parent.weight * child.weight`` as ``then`` weights
-    them. Members are collected in the product's order. The keys come out
-    sorted; within a group of more than one member, the members are sorted
-    stably by (-weight, sorted support of the state), so full ties keep
-    ensemble order. That sort runs once, on the product weights: a tie that
-    rounding makes in a product is broken by the support. Flattened, this
-    is every branch sorted by (label, disposition, -weight, support).
-    """
-    groups: dict[tuple[str, str], list[_Member]] = {}
-    # each distinct stage result's groups, for a parent with a record and without
-    staged: dict[tuple[int, bool], list[tuple[str, str, list[_Member]]]] = {}
-    for parent, children in ensemble._factors():
-        label = "+".join([e.label for e in parent.record])
-        if children is None:
-            groups.setdefault((label, parent.disposition), []).append((parent.weight, parent.state))
-            continue
-        after_record = bool(parent.record)
-        parts = staged.get((id(children), after_record))
-        if parts is None:
-            parts = staged[id(children), after_record] = _stage_groups(children, after_record)
-        weight = parent.weight
-        for text, disposition, members in parts:
-            key = (label + text if after_record else text, disposition)
-            groups.setdefault(key, []).extend([(weight * w, s) for w, s in members])
-
-    # the support is computed once per distinct state object; the ensemble
-    # keeps every state alive, so no id is reused meanwhile
     supports: dict[int, tuple[FockVector, ...]] = {}
 
     def tie_break(member: _Member) -> tuple[float, tuple[FockVector, ...]]:
@@ -215,11 +170,148 @@ def outcome_table(ensemble: Ensemble) -> dict[tuple[str, str], list[_Member]]:
             support = supports[id(state)] = tuple(sorted(state._amps))
         return -weight, support
 
-    table = {key: groups[key] for key in sorted(groups)}
-    for group in table.values():
-        if len(group) > 1:
-            group.sort(key=tie_break)
-    return table
+    return tie_break
+
+
+# A stage group: its text, disposition, members in stage order, the members
+# sorted by the table's key, and the pairs of adjacent sorted weights that
+# differ (None when a pair does not decrease).
+_StageGroup = tuple[str, str, list[_Member], list[_Member], list[tuple[float, float]] | None]
+
+
+def _stage_groups(
+    children: Sequence[Branch],
+    after_record: bool,
+    tie_break: _SortKey,
+) -> list[_StageGroup]:
+    """A stage's branches grouped by (the text each adds to its parent's
+    label, disposition), each group sorted once by ``tie_break``.
+
+    After a parent's record, a record adds ``"+"`` and its own label, and an
+    empty record adds nothing; after an empty record, the text is the label.
+    So one parent's groups go to distinct table keys. A group keeps its
+    stage order beside the sorted one, for a parent whose products the
+    sorted order does not fit, and the adjacent sorted weights that differ,
+    the only pairs whose products can come out in another order. A NaN
+    among two or more weights orders nothing, so that group has no pairs
+    (``None``) and is sorted again for each parent weight.
+    """
+    groups: dict[tuple[str, str], list[_Member]] = {}
+    for b in children:
+        text = "+".join([e.label for e in b.record])
+        if after_record and b.record:
+            text = "+" + text
+        groups.setdefault((text, b.disposition), []).append((b.weight, b.state))
+    out: list[_StageGroup] = []
+    for (text, disposition), members in groups.items():
+        order = sorted(members, key=tie_break)
+        steps: list[tuple[float, float]] | None = [
+            (a, b) for (a, _), (b, _) in zip(order, order[1:]) if a != b
+        ]
+        if not all(a > b for a, b in steps):
+            steps = None
+        out.append((text, disposition, members, order, steps))
+    return out
+
+
+def _scaled(
+    parts: list[_StageGroup],
+    weight: float,
+    tie_break: _SortKey,
+) -> list[list[_Member]]:
+    """Each stage group's members weighted ``weight * w``, in the table's order.
+
+    A finite positive weight keeps ``>=`` between stage weights, so the
+    sorted stage order is the products' sorted order too, unless two stage
+    weights that differ round to one product. Then, as for any other
+    weight, the products are sorted by ``tie_break`` from stage order.
+    """
+    out = []
+    reuse = 0.0 < weight < math.inf
+    for _, _, members, order, steps in parts:
+        if reuse and steps is not None and all(weight * a > weight * b for a, b in steps):
+            out.append([(weight * w, s) for w, s in order])
+        else:
+            products = [(weight * w, s) for w, s in members]
+            products.sort(key=tie_break)
+            out.append(products)
+    return out
+
+
+def outcome_table(ensemble: Ensemble) -> dict[tuple[str, str], list[_Member]]:
+    """The ensemble's (weight, state) pairs grouped by (label, disposition),
+    in canonical order.
+
+    The keys come out sorted; within a group, the members are sorted stably
+    by (-weight, sorted support of the state) from the product's order, so
+    full ties keep ensemble order. Flattened, this is every branch sorted by
+    (label, disposition, -weight, support).
+
+    It reads the ensemble's factors (``Ensemble.then`` keeps them), not the
+    product: each parent's label is joined once, and each distinct stage
+    result is grouped, and each of its groups sorted, once
+    (``_stage_groups``). Each group is weighted ``parent.weight *
+    child.weight``, as ``then`` weights it, once per distinct parent weight
+    (``_scaled``): a positive weight reuses the sorted stage order, and the
+    sort runs again only on a group whose products rounding reorders. A
+    parent adds each weighted group to the table at once. A key that more
+    than one parent or pass-through feeds gets its members back in the
+    product's order and is sorted as a whole.
+    """
+    tie_break = _tie_breaker()
+    groups: dict[tuple[str, str], list[_Member]] = {}
+    # keys that one parent's stage group fills, with that group and weight
+    filled_by: dict[tuple[str, str], tuple[list[_Member], float]] = {}
+    # keys in the product's order, to be sorted
+    unsorted: set[tuple[str, str]] = set()
+
+    def collected(key: tuple[str, str]) -> list[_Member]:
+        """A key's members put back in the product's order, to be sorted."""
+        group = groups[key]
+        stage = filled_by.pop(key, None)
+        if stage is not None:
+            members, weight = stage
+            group[:] = [(weight * w, s) for w, s in members]
+        unsorted.add(key)
+        return group
+
+    # each distinct stage result's groups, for a parent with a record and
+    # without, and those groups weighted, per distinct nonzero parent weight
+    # (0.0 == -0.0, but their products differ in sign)
+    staged: dict[tuple[int, bool], list[_StageGroup]] = {}
+    scaled: dict[tuple[int, float], list[list[_Member]]] = {}
+    for parent, children in ensemble._factors():
+        label = "+".join([e.label for e in parent.record])
+        if children is None:
+            key = (label, parent.disposition)
+            if key in groups:
+                collected(key).append((parent.weight, parent.state))
+            else:
+                groups[key] = [(parent.weight, parent.state)]
+            continue
+        after_record = bool(parent.record)
+        parts = staged.get((id(children), after_record))
+        if parts is None:
+            parts = staged[id(children), after_record] = _stage_groups(
+                children, after_record, tie_break
+            )
+        weight = parent.weight
+        weighted = scaled.get((id(parts), weight)) if weight else None
+        if weighted is None:
+            weighted = _scaled(parts, weight, tie_break)
+            if weight:
+                scaled[id(parts), weight] = weighted
+        for (text, disposition, members, _, _), products in zip(parts, weighted):
+            key = (label + text if after_record else text, disposition)
+            if key in groups:
+                collected(key).extend([(weight * w, s) for w, s in members])
+            else:
+                groups[key] = products.copy()
+                filled_by[key] = (members, weight)
+
+    for key in unsorted:
+        groups[key].sort(key=tie_break)
+    return {key: groups[key] for key in sorted(groups)}
 
 
 def aggregate_probabilities(

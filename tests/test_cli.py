@@ -495,6 +495,90 @@ class TestReportWriter:
         expected = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
         assert report.to_json() == expected
 
+    _TERM = {"im": -0.8, "occ": [[1, 0], [0, 1]], "re": 0.6}
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            # the to_json_dict form, which the writer writes by its schema
+            {"modes": 2, "terms": [_TERM, {**_TERM, "im": -0.0, "re": 0.0}]},
+            {"modes": 1, "terms": [{"im": 0.0, "occ": [[0, 1]], "re": -1.0}]},
+            {**_STATE, "extra": 1},
+            {"modes": 1, "terms": [{**_TERM, "extra": None}]},
+            {"modes": 2, "terms": [{**_TERM, "re": 1}]},
+            {"modes": 2, "terms": [{**_TERM, "im": np.float64(0.1)}]},
+            {"modes": 2, "terms": [{**_TERM, "re": True}]},
+            {"modes": 1, "terms": [{**_TERM, "occ": [[1, 0, 0]]}]},
+            {"modes": 1, "terms": [{**_TERM, "occ": ([1, 0],)}]},
+            {"modes": 1, "terms": [{**_TERM, "occ": [(1, 0)]}]},
+            {"modes": 1, "terms": [{**_TERM, "occ": [[True, 0]]}]},
+            {"modes": 1, "terms": [{**_TERM, "occ": []}]},
+            {"modes": True, "terms": [_TERM]},
+            {"modes": 1, "terms": []},
+            {"modes": 1, "terms": [{"occ": [[1, 0]], "re": 0.6}]},
+            {"modes": 1, "terms": [_TERM, "not a term"]},
+            {"modes": 1, "terms": ({**_TERM},)},
+        ],
+        ids=[
+            "schema",
+            "schema-one-term",
+            "extra-key",
+            "extra-term-key",
+            "int-amplitude",
+            "np-float-amplitude",
+            "bool-amplitude",
+            "occ-pair-of-three",
+            "tuple-occ",
+            "tuple-pair",
+            "bool-occupancy",
+            "empty-occ",
+            "bool-modes",
+            "empty-terms",
+            "term-without-im",
+            "non-dict-term",
+            "tuple-terms",
+        ],
+    )
+    def test_states_of_any_shape_match_stdlib(self, state):
+        # two entries share the state, and a third holds an equal copy
+        entries = [
+            {"label": "a", "state": state},
+            {"label": "b", "state": state},
+            {"label": "c", "state": json.loads(json.dumps(state))},
+        ]
+        report = RunReport("x", "enumerate", [self._ROW], None, {"success_states": entries})
+        expected = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert report.to_json() == expected
+
+    def test_float_texts_match_stdlib(self):
+        # 0.0 == -0.0 and a NaN equals no NaN, yet each is written as itself;
+        # 0.375 is both a row's probability and an amplitude
+        values = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.375, -0.0, 0.0, math.nan]
+        outcomes = [{**self._ROW, "label": str(i), "probability": v} for i, v in enumerate(values)]
+        terms = [
+            {"im": im, "occ": [[1, 0]], "re": re}
+            for im, re in zip(values, [-0.0, 0.375, 0.0, -math.inf, math.nan, 0.0, 0.375, -0.0, 1.0])
+        ]
+        entries = [{"label": "a", "state": {"modes": 1, "terms": terms}}]
+        report = RunReport("x", "enumerate", outcomes, -0.0, {"success_states": entries})
+        expected = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert report.to_json() == expected
+
+    def test_pipeline_rows_and_states_skip_the_generic_writer(self, monkeypatch):
+        # every row and kept state of the report has the schema the writers
+        # write themselves, so neither generic entry point runs
+        calls = []
+
+        def counting(name, write):
+            return lambda *args: calls.append(name) or write(*args)
+
+        monkeypatch.setattr(cli, "_dumps_indented", counting("dumps", cli._dumps_indented))
+        monkeypatch.setattr(cli, "_write_json", counting("write", cli._write_json))
+        report, _ = run(ExperimentConfig("pipeline", emit_states=True))
+        text = report.to_json()
+        assert calls == []
+        assert text == json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
     def test_extras_may_replace_the_outcomes(self):
         extras = {"outcomes": [{"label": 1}], "samples": 3}
         report = RunReport("x", "sample", [self._ROW], None, extras)

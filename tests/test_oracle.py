@@ -205,7 +205,11 @@ class TestStagedOutcomeTable:
     def _same_as_flattened(staged: Ensemble) -> dict:
         table = outcome_table(staged)
         flattened = outcome_table(Ensemble(staged.branches))
-        assert list(table.items()) == list(flattened.items())
+        # bit for bit, each state the same object: a weight's repr tells the
+        # sign of a zero, and a NaN weight equals no other
+        assert [(key, [(repr(w), id(s)) for w, s in group]) for key, group in table.items()] == [
+            (key, [(repr(w), id(s)) for w, s in group]) for key, group in flattened.items()
+        ]
         return table
 
     @staticmethod
@@ -265,6 +269,83 @@ class TestStagedOutcomeTable:
         parent = _branch(0.7, self.H, ["p"])
         table = self._same_as_flattened(Ensemble((parent,)).then(self._stage(h, v)))
         assert table["p+s", "keep"] == [(0.7 * light, v.state), (0.7 * heavy, h.state)]
+
+    def test_zero_parent_weight_ties_every_product(self):
+        # the stage order puts the heavier h first; every product is 0.0, so
+        # the support puts v first, and the two h branches keep stage order
+        h, v = _branch(0.5, self.H, ["s"]), _branch(0.25, self.V, ["s"])
+        h2 = _branch(0.125, self.H, ["s"], amplitude=-1.0)
+        # 0.0 == -0.0, but their products differ in sign, so the two parents
+        # share no weighted group
+        parents = Ensemble((_branch(0.0, self.H, ["p"]), _branch(-0.0, self.V, ["q"])))
+        table = self._same_as_flattened(parents.then(self._stage(h2, h, v)))
+        for label in ("p+s", "q+s"):
+            assert [s for _, s in table[label, "keep"]] == [v.state, h2.state, h.state]
+        assert {repr(w) for w, _ in table["q+s", "keep"]} == {"-0.0"}
+
+    @pytest.mark.parametrize("weight", [0.007812499999999994, 0.75])
+    def test_one_ulp_stage_weights(self, weight):
+        # the entangled pipeline input's gate holds 0.006009615384615382 in
+        # its one-click+one-click group; with its one-ulp neighbour, the
+        # products stay one ulp apart under the kept ancilla weight
+        # 0.007812499999999994, so the sorted stage order holds, and round to
+        # one product under 0.75, so the support decides
+        heavy = 0.006009615384615382
+        light = math.nextafter(heavy, 0.0)
+        assert light == 0.0060096153846153815
+        labels = ["one-click", "one-click"]
+        h, v = _branch(heavy, self.H, labels, "discard"), _branch(light, self.V, labels, "discard")
+        parent = _branch(weight, self.H, ["p"])
+        table = self._same_as_flattened(Ensemble((parent,)).then(self._stage(h, v)))
+        tied = weight * heavy == weight * light
+        assert tied == (weight == 0.75)
+        members = table["p+one-click+one-click", "discard"]
+        assert [s for _, s in members] == ([v.state, h.state] if tied else [h.state, v.state])
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_parent_weight(self, weight):
+        # equal stage weights give NaN products, which no sort can order; so
+        # the sorted stage order (v first) is not reused, and the product's
+        # order stands
+        h, v = _branch(0.0, self.H, ["s"]), _branch(0.0, self.V, ["s"])
+        parent = _branch(weight, self.H, ["p"])
+        table = self._same_as_flattened(Ensemble((parent,)).then(self._stage(h, v)))
+        assert [s for _, s in table["p+s", "keep"]] == [h.state, v.state]
+
+    def test_shared_key_with_a_nan_product_sorts_from_the_product_order(self):
+        # the first parent's group goes in sorted stage order (v first); the
+        # second parent's products are NaN and inf, and with a NaN in the
+        # group the sort's result depends on the order it starts from, so
+        # the key is sorted from the product's order
+        h, v = _branch(0.0, self.H, ["s"]), _branch(0.5, self.V, ["s"])
+        parents = Ensemble((_branch(0.5, self.H, ["p"]), _branch(math.inf, self.H, ["p"])))
+        self._same_as_flattened(parents.then(self._stage(h, v)))
+
+    def test_key_fed_by_two_parents_and_a_pass_through(self):
+        # ("p+s", "discard") collects the first parent's stage group, the
+        # pass-through and the second parent's group; it is sorted as a
+        # whole, from the product's order
+        children = (
+            _branch(0.125, self.H, ["s"], "discard"),
+            _branch(0.5, self.V, ["s"], "discard", amplitude=-1.0),
+            _branch(0.25, self.H, ["s"], "discard"),
+            _branch(0.125, self.H, ["s"], amplitude=-1.0),
+        )
+        parents = Ensemble(
+            (
+                _branch(0.5, self.H, ["p"]),
+                _branch(0.0625, self.V, ["p", "s"], "discard"),
+                _branch(0.25, self.V, ["p"]),
+            )
+        )
+        table = self._same_as_flattened(parents.then(self._stage(*children)))
+        group = table["p+s", "discard"]
+        assert [w for w, _ in group] == [0.25, 0.125, 0.125, 0.0625, 0.0625, 0.0625, 0.03125]
+        # of the three at 0.0625, the pass-through's V support sorts first,
+        # and the two H members keep the product's order
+        passed = parents.branches[1]
+        assert [s for _, s in group[3:6]] == [passed.state, children[0].state, children[2].state]
+        assert len(table["p+s", "keep"]) == 2
 
 
 class TestPhaseMatch:
