@@ -271,7 +271,13 @@ class PureState:
     # -- serialization -----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """Canonical JSON form with terms in canonical basis order."""
+        """Canonical JSON form with terms in canonical basis order.
+
+        ``cli._state_text`` writes this exact form (key names, types and
+        nesting) by f-strings for the report's ``success_states``; a change
+        here must be made there too, or those states fall back to the
+        generic writer.
+        """
         return {
             "modes": self.modes,
             "terms": [

@@ -5,7 +5,6 @@ tables and stated probabilities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -173,28 +172,17 @@ def _tie_breaker() -> _SortKey:
     return tie_break
 
 
-# A stage group: its text, disposition, members in stage order, the members
-# sorted by the table's key, and the pairs of adjacent sorted weights that
-# differ (None when a pair does not decrease).
-_StageGroup = tuple[str, str, list[_Member], list[_Member], list[tuple[float, float]] | None]
+# A stage group: its text, disposition and members in stage order.
+_StageGroup = tuple[str, str, list[_Member]]
 
 
-def _stage_groups(
-    children: Sequence[Branch],
-    after_record: bool,
-    tie_break: _SortKey,
-) -> list[_StageGroup]:
+def _stage_groups(children: Sequence[Branch], after_record: bool) -> list[_StageGroup]:
     """A stage's branches grouped by (the text each adds to its parent's
-    label, disposition), each group sorted once by ``tie_break``.
+    label, disposition), in stage order within a group.
 
     After a parent's record, a record adds ``"+"`` and its own label, and an
     empty record adds nothing; after an empty record, the text is the label.
-    So one parent's groups go to distinct table keys. A group keeps its
-    stage order beside the sorted one, for a parent whose products the
-    sorted order does not fit, and the adjacent sorted weights that differ,
-    the only pairs whose products can come out in another order. A NaN
-    among two or more weights orders nothing, so that group has no pairs
-    (``None``) and is sorted again for each parent weight.
+    So one parent's groups go to distinct table keys.
     """
     groups: dict[tuple[str, str], list[_Member]] = {}
     for b in children:
@@ -202,40 +190,13 @@ def _stage_groups(
         if after_record and b.record:
             text = "+" + text
         groups.setdefault((text, b.disposition), []).append((b.weight, b.state))
-    out: list[_StageGroup] = []
-    for (text, disposition), members in groups.items():
-        order = sorted(members, key=tie_break)
-        steps: list[tuple[float, float]] | None = [
-            (a, b) for (a, _), (b, _) in zip(order, order[1:]) if a != b
-        ]
-        if not all(a > b for a, b in steps):
-            steps = None
-        out.append((text, disposition, members, order, steps))
-    return out
+    return [(text, disposition, members) for (text, disposition), members in groups.items()]
 
 
-def _scaled(
-    parts: list[_StageGroup],
-    weight: float,
-    tie_break: _SortKey,
-) -> list[list[_Member]]:
-    """Each stage group's members weighted ``weight * w``, in the table's order.
-
-    A finite positive weight keeps ``>=`` between stage weights, so the
-    sorted stage order is the products' sorted order too, unless two stage
-    weights that differ round to one product. Then, as for any other
-    weight, the products are sorted by ``tie_break`` from stage order.
-    """
-    out = []
-    reuse = 0.0 < weight < math.inf
-    for _, _, members, order, steps in parts:
-        if reuse and steps is not None and all(weight * a > weight * b for a, b in steps):
-            out.append([(weight * w, s) for w, s in order])
-        else:
-            products = [(weight * w, s) for w, s in members]
-            products.sort(key=tie_break)
-            out.append(products)
-    return out
+def _scaled(parts: list[_StageGroup], weight: float, tie_break: _SortKey) -> list[list[_Member]]:
+    """Each stage group's members weighted ``weight * w`` and sorted stably by
+    ``tie_break`` from stage order."""
+    return [sorted([(weight * w, s) for w, s in members], key=tie_break) for _, _, members in parts]
 
 
 def outcome_table(ensemble: Ensemble) -> dict[tuple[str, str], list[_Member]]:
@@ -249,14 +210,13 @@ def outcome_table(ensemble: Ensemble) -> dict[tuple[str, str], list[_Member]]:
 
     It reads the ensemble's factors (``Ensemble.then`` keeps them), not the
     product: each parent's label is joined once, and each distinct stage
-    result is grouped, and each of its groups sorted, once
-    (``_stage_groups``). Each group is weighted ``parent.weight *
-    child.weight``, as ``then`` weights it, once per distinct parent weight
-    (``_scaled``): a positive weight reuses the sorted stage order, and the
-    sort runs again only on a group whose products rounding reorders. A
-    parent adds each weighted group to the table at once. A key that more
-    than one parent or pass-through feeds gets its members back in the
-    product's order and is sorted as a whole.
+    result is grouped once (``_stage_groups``). Each group is weighted
+    ``parent.weight * child.weight``, as ``then`` weights it, and sorted
+    once per distinct parent weight (``_scaled``); a tie that rounding makes
+    in a product is broken by the support. A parent adds each weighted
+    group to the table at once. A key that more than one parent or
+    pass-through feeds gets its members back in the product's order and is
+    sorted as a whole.
     """
     tie_break = _tie_breaker()
     groups: dict[tuple[str, str], list[_Member]] = {}
@@ -292,16 +252,14 @@ def outcome_table(ensemble: Ensemble) -> dict[tuple[str, str], list[_Member]]:
         after_record = bool(parent.record)
         parts = staged.get((id(children), after_record))
         if parts is None:
-            parts = staged[id(children), after_record] = _stage_groups(
-                children, after_record, tie_break
-            )
+            parts = staged[id(children), after_record] = _stage_groups(children, after_record)
         weight = parent.weight
         weighted = scaled.get((id(parts), weight)) if weight else None
         if weighted is None:
             weighted = _scaled(parts, weight, tie_break)
             if weight:
                 scaled[id(parts), weight] = weighted
-        for (text, disposition, members, _, _), products in zip(parts, weighted):
+        for (text, disposition, members), products in zip(parts, weighted):
             key = (label + text if after_record else text, disposition)
             if key in groups:
                 collected(key).extend([(weight * w, s) for w, s in members])

@@ -288,7 +288,7 @@ class TestStagedOutcomeTable:
         # the entangled pipeline input's gate holds 0.006009615384615382 in
         # its one-click+one-click group; with its one-ulp neighbour, the
         # products stay one ulp apart under the kept ancilla weight
-        # 0.007812499999999994, so the sorted stage order holds, and round to
+        # 0.007812499999999994, so the heavier h stays first, and round to
         # one product under 0.75, so the support decides
         heavy = 0.006009615384615382
         light = math.nextafter(heavy, 0.0)
@@ -304,19 +304,18 @@ class TestStagedOutcomeTable:
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf])
     def test_non_finite_parent_weight(self, weight):
-        # equal stage weights give NaN products, which no sort can order; so
-        # the sorted stage order (v first) is not reused, and the product's
-        # order stands
+        # equal stage weights give NaN products, which no sort can order, so
+        # the product's order stands, though the support would put v first
         h, v = _branch(0.0, self.H, ["s"]), _branch(0.0, self.V, ["s"])
         parent = _branch(weight, self.H, ["p"])
         table = self._same_as_flattened(Ensemble((parent,)).then(self._stage(h, v)))
         assert [s for _, s in table["p+s", "keep"]] == [h.state, v.state]
 
     def test_shared_key_with_a_nan_product_sorts_from_the_product_order(self):
-        # the first parent's group goes in sorted stage order (v first); the
-        # second parent's products are NaN and inf, and with a NaN in the
-        # group the sort's result depends on the order it starts from, so
-        # the key is sorted from the product's order
+        # the first parent's group goes in sorted (v first); the second
+        # parent's products are NaN and inf, and with a NaN in the group the
+        # sort's result depends on the order it starts from, so the key is
+        # sorted again from the product's order
         h, v = _branch(0.0, self.H, ["s"]), _branch(0.5, self.V, ["s"])
         parents = Ensemble((_branch(0.5, self.H, ["p"]), _branch(math.inf, self.H, ["p"])))
         self._same_as_flattened(parents.then(self._stage(h, v)))
