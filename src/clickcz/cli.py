@@ -119,91 +119,12 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-# How json.dumps writes each scalar type; subclasses use their base's entry.
-_JSON_SCALARS = {
-    str: json.encoder.encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_text,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
-
-
 def _dumps_indented(obj: object, depth: int = 0) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` for the types a report holds.
-
-    Those are dicts with ``str`` keys, lists, tuples (named tuples included),
-    ``str``, ``int``, ``float`` (subclasses such as ``np.float64`` included),
-    booleans and ``None``; anything else raises ``TypeError``. At ``depth``
-    greater than 0, the text is the one ``obj`` has as a value that many
+    """``json.dumps(obj, sort_keys=True, indent=2)`` as a value ``depth``
     levels down in a larger document: each line after the first is indented
-    ``depth`` levels more. Fragments go to one list, joined once. A
-    container met again at the same depth replays the fragments it wrote the
-    first time: its first replay joins them into one string, and every
-    replay appends that one string. Keying that on ``(id, depth)`` is sound
-    because ``obj`` keeps the whole tree alive for the call, so no id is
-    reused within it. There is no cycle check; a report is a tree.
-    ``RunReport.to_json`` calls this for a row (depth 2) or kept state
-    (depth 3) of a shape its own writers do not take, and ``_write_json``
-    for its other keys, into its one output list.
-    """
-    scalar = _JSON_SCALARS.get(type(obj))
-    if scalar is not None:
-        return scalar(obj)
-    out: list[str] = []
-    _write_json(obj, depth, out, {})
-    return "".join(out)
-
-
-def _write_json(
-    o: object, depth: int, out: list[str], spans: dict[tuple[int, int], tuple[int, int] | str]
-) -> None:
-    """Append the fragments of ``o``, which is not of an exact scalar type."""
-    if not isinstance(o, (dict, list, tuple)):
-        for base in (str, int, float):
-            if isinstance(o, base):
-                out.append(_JSON_SCALARS[base](o))
-                return
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    span = spans.get((id(o), depth))
-    if span is not None:
-        if type(span) is tuple:
-            span = spans[id(o), depth] = "".join(out[span[0] : span[1]])
-        out.append(span)
-        return
-    start = len(out)
-    if not o:
-        out.append("{}" if isinstance(o, dict) else "[]")
-    else:
-        pad = "\n" + "  " * depth
-        sep = pad + "  "
-        rest = "," + sep
-        if isinstance(o, dict):
-            out.append("{")
-            # encode_basestring_ascii raises TypeError on a key that is not a str
-            encode_key = json.encoder.encode_basestring_ascii
-            for k in sorted(o):
-                v = o[k]
-                scalar = _JSON_SCALARS.get(type(v))
-                if scalar is not None:
-                    out.append(f"{sep}{encode_key(k)}: {scalar(v)}")
-                else:
-                    out.append(f"{sep}{encode_key(k)}: ")
-                    _write_json(v, depth + 1, out, spans)
-                sep = rest
-            out.append(pad + "}")
-        else:
-            out.append("[")
-            for v in o:
-                scalar = _JSON_SCALARS.get(type(v))
-                if scalar is not None:
-                    out.append(sep + scalar(v))
-                else:
-                    out.append(sep)
-                    _write_json(v, depth + 1, out, spans)
-                sep = rest
-            out.append(pad + "]")
-    spans[id(o), depth] = (start, len(out))
+    ``depth`` levels more. ``json.dumps`` escapes every newline inside a
+    string, so each newline in its text is a line break."""
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 _encode = json.encoder.encode_basestring_ascii
@@ -354,14 +275,13 @@ class RunReport:
         ``_write_state_entries``) and makes each value text once: one text
         per distinct float (``_FloatTexts``), and one per distinct state
         object, which every entry holding that state appends by reference.
-        Every other key, and a row or state of another shape, goes through
-        the generic writer. All fragments go to one list, joined once with
-        the final newline, so the text is copied once.
+        ``json.dumps``, re-indented to depth 1 (``_dumps_indented``), writes
+        every other key. All fragments go to one list, joined once with the
+        final newline, so the text is copied once.
         """
         report = self.to_json_dict()
         floats = _FloatTexts()
         out: list[str] = []
-        spans: dict[tuple[int, int], tuple[int, int] | str] = {}
         sep = "{\n  "
         for key in sorted(report):
             value = report[key]
@@ -370,12 +290,8 @@ class RunReport:
             write = _LIST_WRITERS.get(key)
             if write is not None and type(value) is list:
                 write(value, out, floats)
-                continue
-            scalar = _JSON_SCALARS.get(type(value))
-            if scalar is not None:
-                out.append(scalar(value))
             else:
-                _write_json(value, 1, out, spans)
+                out.append(_dumps_indented(value, 1))
         out.append("\n}\n")
         return "".join(out)
 
@@ -390,9 +306,8 @@ class RunReport:
 
 
 def _load_state(path: str) -> PureState:
-    text = Path(path).read_text()
     try:
-        return PureState.from_json(text)
+        return PureState.from_json(Path(path).read_text())
     except (KeyError, TypeError, ValueError, RecursionError, SimulatorError) as exc:
         raise ConfigError(f"malformed input state in {path}: {exc}") from exc
 
@@ -527,6 +442,13 @@ def _verify_report(config: ExperimentConfig) -> tuple[RunReport, int]:
 def _run_circuit_report(config: ExperimentConfig) -> tuple[RunReport, int]:
     state = _load_state(config.input_path)
     circuit = _load_circuit(config.circuit_path)
+    for number, element in enumerate(circuit, 1):
+        target = max(element.targets) + 1
+        if target > state.modes:
+            raise ConfigError(
+                f"element {number} ({element.kind}) targets mode {target},"
+                f" past the {state.modes} modes of the state in {config.input_path}"
+            )
     final = apply_circuit(state, circuit)
     return RunReport(
         experiment="run-circuit",

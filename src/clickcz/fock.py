@@ -275,8 +275,8 @@ class PureState:
 
         ``cli._state_text`` writes this exact form (key names, types and
         nesting) by f-strings for the report's ``success_states``; a change
-        here must be made there too, or those states fall back to the
-        generic writer.
+        here must be made there too, or those states fall back to
+        ``json.dumps``.
         """
         return {
             "modes": self.modes,

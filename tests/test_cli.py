@@ -173,6 +173,17 @@ class TestRunCircuit:
         assert main(argv + ["--circuit", str(circuit_path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["norm2"] == pytest.approx(norm2, abs=TOL)
 
+    def test_target_past_the_input_modes(self, tmp_path, capsys):
+        # circuit files are 1-based, so the message names target 5, not mode 4
+        state_path, circuit_path = tmp_path / "in.json", tmp_path / "circuit.json"
+        state_path.write_text(states.bell_phi_plus().to_json())
+        circuit = [{"kind": "PR", "targets": [2], "theta": 0.3}, {"kind": "BS", "targets": [1, 5]}]
+        circuit_path.write_text(json.dumps(circuit))
+        argv = ["--experiment", "run-circuit", "--input", str(state_path)]
+        assert main(argv + ["--circuit", str(circuit_path), "--out", "/dev/null"]) == 2
+        err = capsys.readouterr().err
+        assert f"element 2 (BS) targets mode 5, past the 2 modes of the state in {state_path}" in err
+
     def test_missing_circuit_exit_code(self, tmp_path, capsys):
         state_path = tmp_path / "in.json"
         state_path.write_text(states.qubit(1, 0).to_json())
@@ -566,17 +577,15 @@ class TestReportWriter:
 
     def test_pipeline_rows_and_states_skip_the_generic_writer(self, monkeypatch):
         # every row and kept state of the report has the schema the writers
-        # write themselves, so neither generic entry point runs
-        calls = []
-
-        def counting(name, write):
-            return lambda *args: calls.append(name) or write(*args)
-
-        monkeypatch.setattr(cli, "_dumps_indented", counting("dumps", cli._dumps_indented))
-        monkeypatch.setattr(cli, "_write_json", counting("write", cli._write_json))
+        # write themselves, so json.dumps writes only the other keys, at depth 1
+        depths = []
+        dumps = cli._dumps_indented
+        monkeypatch.setattr(
+            cli, "_dumps_indented", lambda obj, depth=0: depths.append(depth) or dumps(obj, depth)
+        )
         report, _ = run(ExperimentConfig("pipeline", emit_states=True))
         text = report.to_json()
-        assert calls == []
+        assert depths and set(depths) == {1}
         assert text == json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def test_extras_may_replace_the_outcomes(self):
@@ -600,6 +609,7 @@ class TestReportWriter:
             {},
             [],
             {"a": [{"b": {}}, {"c": []}]},
+            {1: "a"},
         ],
         ids=[
             "named-tuple-value",
@@ -614,6 +624,7 @@ class TestReportWriter:
             "empty-dict-top",
             "empty-list-top",
             "empty-at-depth-3",
+            "int-key",
         ],
     )
     def test_value_matches_stdlib(self, value):
@@ -627,11 +638,7 @@ class TestReportWriter:
         value = {"a": inner, "b": inner, "c": [inner], "d": leaf}
         assert cli._dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2)
 
-    # the stdlib writes an int key as a string; a report has only str keys, so
-    # the writer refuses one
-    @pytest.mark.parametrize(
-        "value", [{1: "a"}, [1j], {"s": {1, 2}}], ids=["int-key", "complex", "set"]
-    )
+    @pytest.mark.parametrize("value", [[1j], {"s": {1, 2}}], ids=["complex", "set"])
     def test_unsupported_value_raises_type_error(self, value):
         with pytest.raises(TypeError):
             cli._dumps_indented(value)
@@ -892,6 +899,13 @@ class TestInputBoundary:
         assert code == 2
         assert "bad element descriptor" in err
         assert message in err
+
+    def test_input_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_bytes(b'{"modes": 2, "terms": [\xff]}')
+        code = main(["--experiment", "cz", "--input", str(path), "--out", "/dev/null"])
+        assert code == 2
+        assert f"malformed input state in {path}: 'utf-8' codec" in capsys.readouterr().err
 
     def test_deeply_nested_input(self, tmp_path, capsys):
         path = tmp_path / "input.json"

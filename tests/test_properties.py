@@ -459,7 +459,7 @@ _SHARED = object()  # stands for one shared subtree, substituted after drawing
 
 json_scalars = (
     st.text(st.characters(blacklist_categories=("Cs",)))
-    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\u2028", "é", "\U0001f600"])
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "a\nb", "\u2028", "é", "\U0001f600"])
     | st.integers()
     | st.integers(-(10**40), 10**40)
     | st.floats(allow_nan=True, allow_infinity=True)
@@ -496,9 +496,8 @@ def _substitute(tree, shared):
 )
 @settings(max_examples=200, deadline=None)
 def test_report_writer_matches_stdlib(tree, shared):
-    # the shared subtree sits at several positions and depths; it is met again
-    # at depth 1 and at depth 3 after other fragments have been written, and
-    # at depth 3 inside a container that is itself met again
+    # the shared subtree sits at several positions and depths, at depth 3 also
+    # inside a container that is itself shared
     deep = {"deep": [shared, "between", shared]}
     doc = [
         _substitute(tree, shared),
@@ -512,3 +511,11 @@ def test_report_writer_matches_stdlib(tree, shared):
     ]
     expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert _dumps_indented(doc) + "\n" == expected
+    # at depth d, the text is the doc's as the value of d nested keys
+    wrapper = doc
+    for depth in (1, 2, 3):
+        wrapper = {"k": wrapper}
+        head = "".join("{\n" + "  " * level + '"k": ' for level in range(1, depth + 1))
+        tail = "".join("\n" + "  " * level + "}" for level in reversed(range(depth)))
+        expected = json.dumps(wrapper, sort_keys=True, indent=2)
+        assert head + _dumps_indented(doc, depth) + tail == expected
