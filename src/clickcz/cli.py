@@ -119,7 +119,7 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _dumps_indented(obj: object, depth: int = 0) -> str:
+def _dumps_indented(obj: object, depth: int) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` as a value ``depth``
     levels down in a larger document: each line after the first is indented
     ``depth`` levels more. ``json.dumps`` escapes every newline inside a

@@ -5,6 +5,7 @@ tables and stated probabilities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -172,6 +173,11 @@ def _tie_breaker() -> _SortKey:
     return tie_break
 
 
+def _check_finite(key: tuple[str, str], weight: float) -> None:
+    if not math.isfinite(weight):
+        raise ValueError(f"branch {key} has weight {weight!r}; a table weight must be finite")
+
+
 # A stage group: its text, disposition and members in stage order.
 _StageGroup = tuple[str, str, list[_Member]]
 
@@ -195,7 +201,7 @@ def _stage_groups(children: Sequence[Branch], after_record: bool) -> list[_Stage
 
 def _scaled(parts: list[_StageGroup], weight: float, tie_break: _SortKey) -> list[list[_Member]]:
     """Each stage group's members weighted ``weight * w`` and sorted stably by
-    ``tie_break`` from stage order."""
+    ``tie_break`` from stage order: ``outcome_table``'s runs for one parent."""
     return [sorted([(weight * w, s) for w, s in members], key=tie_break) for _, _, members in parts]
 
 
@@ -210,30 +216,27 @@ def outcome_table(ensemble: Ensemble) -> dict[tuple[str, str], list[_Member]]:
 
     It reads the ensemble's factors (``Ensemble.then`` keeps them), not the
     product: each parent's label is joined once, and each distinct stage
-    result is grouped once (``_stage_groups``). Each group is weighted
-    ``parent.weight * child.weight``, as ``then`` weights it, and sorted
-    once per distinct parent weight (``_scaled``); a tie that rounding makes
-    in a product is broken by the support. A parent adds each weighted
-    group to the table at once. A key that more than one parent or
-    pass-through feeds gets its members back in the product's order and is
-    sorted as a whole.
+    result is grouped once (``_stage_groups``). A parent adds one sorted run
+    per key: a pass-through its one member, a staged parent each stage group
+    weighted ``parent.weight * child.weight``, as ``then`` weights it, and
+    sorted once per distinct parent weight (``_scaled``); a tie that rounding
+    makes in a product is broken by the support. A key fed by more than one
+    run is sorted once at the end; for finite weights that equals the sort
+    from the product's order, so a NaN or infinite weight (inf * 0 is NaN)
+    raises ``ValueError``.
     """
     tie_break = _tie_breaker()
     groups: dict[tuple[str, str], list[_Member]] = {}
-    # keys that one parent's stage group fills, with that group and weight
-    filled_by: dict[tuple[str, str], tuple[list[_Member], float]] = {}
-    # keys in the product's order, to be sorted
-    unsorted: set[tuple[str, str]] = set()
+    # keys fed by more than one run, to be sorted
+    merged: set[tuple[str, str]] = set()
 
-    def collected(key: tuple[str, str]) -> list[_Member]:
-        """A key's members put back in the product's order, to be sorted."""
-        group = groups[key]
-        stage = filled_by.pop(key, None)
-        if stage is not None:
-            members, weight = stage
-            group[:] = [(weight * w, s) for w, s in members]
-        unsorted.add(key)
-        return group
+    def add(key: tuple[str, str], run: list[_Member]) -> None:
+        group = groups.get(key)
+        if group is None:
+            groups[key] = run
+        else:
+            group += run
+            merged.add(key)
 
     # each distinct stage result's groups, for a parent with a record and
     # without, and those groups weighted, per distinct nonzero parent weight
@@ -242,32 +245,27 @@ def outcome_table(ensemble: Ensemble) -> dict[tuple[str, str], list[_Member]]:
     scaled: dict[tuple[int, float], list[list[_Member]]] = {}
     for parent, children in ensemble._factors():
         label = "+".join([e.label for e in parent.record])
+        weight = parent.weight
+        _check_finite((label, parent.disposition), weight)
         if children is None:
-            key = (label, parent.disposition)
-            if key in groups:
-                collected(key).append((parent.weight, parent.state))
-            else:
-                groups[key] = [(parent.weight, parent.state)]
+            add((label, parent.disposition), [(weight, parent.state)])
             continue
         after_record = bool(parent.record)
         parts = staged.get((id(children), after_record))
         if parts is None:
             parts = staged[id(children), after_record] = _stage_groups(children, after_record)
-        weight = parent.weight
+            for text, disposition, members in parts:
+                for w, _ in members:
+                    _check_finite((label + text if after_record else text, disposition), w)
         weighted = scaled.get((id(parts), weight)) if weight else None
         if weighted is None:
             weighted = _scaled(parts, weight, tie_break)
             if weight:
                 scaled[id(parts), weight] = weighted
-        for (text, disposition, members), products in zip(parts, weighted):
-            key = (label + text if after_record else text, disposition)
-            if key in groups:
-                collected(key).extend([(weight * w, s) for w, s in members])
-            else:
-                groups[key] = products.copy()
-                filled_by[key] = (members, weight)
+        for (text, disposition, _), run in zip(parts, weighted):
+            add((label + text if after_record else text, disposition), run.copy())
 
-    for key in unsorted:
+    for key in merged:
         groups[key].sort(key=tie_break)
     return {key: groups[key] for key in sorted(groups)}
 

@@ -628,20 +628,29 @@ class TestReportWriter:
         ],
     )
     def test_value_matches_stdlib(self, value):
-        assert cli._dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2)
+        report = RunReport("x", "enumerate", [self._ROW], None, {"value": value})
+        expected = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert report.to_json() == expected
 
     def test_replayed_subtrees_match_stdlib(self):
-        # inner, met twice at depth 1 and once at depth 2, holds leaf four
-        # times at its own depth + 1 and once one level deeper
+        # each state dict is written once and appended by reference for
+        # every entry that holds it: leaf, of no schema, at depth 3 through
+        # json.dumps, and _STATE by its schema; leaf is also an extra's value
         leaf = {"terms": [{"re": 0.5, "im": -0.25}, [1, "x"]], "modes": 2}
-        inner = [leaf, leaf, {"again": leaf}, leaf, leaf]
-        value = {"a": inner, "b": inner, "c": [inner], "d": leaf}
-        assert cli._dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2)
+        entries = [
+            {"label": label, "state": state}
+            for label, state in zip("abcde", [leaf, self._STATE, leaf, self._STATE, leaf])
+        ]
+        extras = {"success_states": entries, "value": {"a": leaf, "b": [leaf]}}
+        report = RunReport("x", "enumerate", [self._ROW], None, extras)
+        expected = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert report.to_json() == expected
 
     @pytest.mark.parametrize("value", [[1j], {"s": {1, 2}}], ids=["complex", "set"])
     def test_unsupported_value_raises_type_error(self, value):
-        with pytest.raises(TypeError):
-            cli._dumps_indented(value)
+        report = RunReport("x", "enumerate", [self._ROW], None, {"value": value})
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            report.to_json()
 
 
 class TestMainEntry:

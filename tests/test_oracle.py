@@ -302,23 +302,38 @@ class TestStagedOutcomeTable:
         members = table["p+one-click+one-click", "discard"]
         assert [s for _, s in members] == ([v.state, h.state] if tied else [h.state, v.state])
 
+    @staticmethod
+    def _refused(staged: Ensemble) -> None:
+        # the staged table and the flattened one both refuse it, the flattened
+        # one naming the first non-finite product
+        for ensemble in (staged, Ensemble(staged.branches)):
+            with pytest.raises(ValueError, match=r"\) has weight (nan|inf); a table weight must"):
+                outcome_table(ensemble)
+
     @pytest.mark.parametrize("weight", [math.nan, math.inf])
     def test_non_finite_parent_weight(self, weight):
-        # equal stage weights give NaN products, which no sort can order, so
-        # the product's order stands, though the support would put v first
+        # equal stage weights give NaN products, which no sort can order
         h, v = _branch(0.0, self.H, ["s"]), _branch(0.0, self.V, ["s"])
         parent = _branch(weight, self.H, ["p"])
-        table = self._same_as_flattened(Ensemble((parent,)).then(self._stage(h, v)))
-        assert [s for _, s in table["p+s", "keep"]] == [h.state, v.state]
+        self._refused(Ensemble((parent,)).then(self._stage(h, v)))
 
-    def test_shared_key_with_a_nan_product_sorts_from_the_product_order(self):
-        # the first parent's group goes in sorted (v first); the second
-        # parent's products are NaN and inf, and with a NaN in the group the
-        # sort's result depends on the order it starts from, so the key is
-        # sorted again from the product's order
+    def test_shared_key_with_a_nan_product_is_refused(self):
+        # the second parent's products are NaN and inf; with a NaN in the
+        # group, the sort's result would depend on the order it starts from
         h, v = _branch(0.0, self.H, ["s"]), _branch(0.5, self.V, ["s"])
         parents = Ensemble((_branch(0.5, self.H, ["p"]), _branch(math.inf, self.H, ["p"])))
-        self._same_as_flattened(parents.then(self._stage(h, v)))
+        self._refused(parents.then(self._stage(h, v)))
+
+    def test_nan_stage_branch_weight(self):
+        h, v = _branch(0.5, self.H, ["s"]), _branch(math.nan, self.V, ["s"])
+        parents = Ensemble((_branch(0.5, self.H, ["p"]), _branch(0.25, self.V, ["p"])))
+        self._refused(parents.then(self._stage(h, v)))
+
+    def test_nan_pass_through_weight(self):
+        h = _branch(0.5, self.H, ["s"])
+        passed = _branch(math.nan, self.V, ["p", "s"], "discard")
+        parents = Ensemble((_branch(0.5, self.H, ["p"]), passed))
+        self._refused(parents.then(self._stage(h)))
 
     def test_key_fed_by_two_parents_and_a_pass_through(self):
         # ("p+s", "discard") collects the first parent's stage group, the

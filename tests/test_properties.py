@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from clickcz import detection, gadgets, states
-from clickcz.cli import _dumps_indented
+from clickcz.cli import RunReport, _dumps_indented
 from clickcz.detection import RuleAction, _readout, measure_nr, pid, pid_split, trace_out
 from clickcz.elements import (
     _two_rail_transform,
@@ -30,9 +30,11 @@ from clickcz.fock import (
     ConsistencyError,
     Ensemble,
     FeedForwardError,
+    OutcomeEvent,
     PureState,
     _agree,
 )
+from clickcz.oracle import outcome_table
 
 from conftest import resolved
 
@@ -509,8 +511,9 @@ def test_report_writer_matches_stdlib(tree, shared):
         deep,
         [{"last": shared}],
     ]
-    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    assert _dumps_indented(doc) + "\n" == expected
+    report = RunReport("x", "enumerate", [], None, {"value": doc})
+    expected = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert report.to_json() == expected
     # at depth d, the text is the doc's as the value of d nested keys
     wrapper = doc
     for depth in (1, 2, 3):
@@ -519,3 +522,57 @@ def test_report_writer_matches_stdlib(tree, shared):
         tail = "".join("\n" + "  " * level + "}" for level in reversed(range(depth)))
         expected = json.dumps(wrapper, sort_keys=True, indent=2)
         assert head + _dumps_indented(doc, depth) + tail == expected
+
+
+# Few states, labels and weights, so keys and supports collide often: "" is
+# an empty label, and a record may be empty; each child weight may be moved
+# one ulp, and a parent weight may be a zero of either sign.
+_TABLE_STATES = [PureState(1, {(vec,): amp}) for vec in ((1, 0), (0, 1)) for amp in (1.0, -1.0)]
+_BASE_WEIGHTS = [0.75, 0.5, 0.25, 0.006009615384615382]
+
+
+@st.composite
+def table_branches(draw, weights):
+    labels = draw(st.lists(st.sampled_from(["a", ""]), max_size=2))
+    return Branch(
+        draw(weights),
+        draw(st.sampled_from(_TABLE_STATES)),
+        tuple(OutcomeEvent("s", (), label) for label in labels),
+        draw(st.sampled_from(["keep", "discard"])),
+    )
+
+
+parent_weights = st.sampled_from([0.0, -0.0, 0.7, 0.007812499999999994, *_BASE_WEIGHTS])
+child_weights = st.sampled_from(_BASE_WEIGHTS).flatmap(
+    lambda w: st.sampled_from([w, math.nextafter(w, 0.0), math.nextafter(w, 1.0)])
+)
+
+
+@given(
+    parents=st.lists(table_branches(parent_weights), min_size=2, max_size=8),
+    stages=st.lists(st.lists(table_branches(child_weights), max_size=6), min_size=1, max_size=3),
+    twice=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_staged_outcome_table_matches_flattened(parents, stages, twice):
+    # each parent adds sorted runs and a key fed more than once is sorted
+    # from them; that must equal sorting the product, bit for bit
+    def stage(state):
+        return Ensemble(tuple(stages[_TABLE_STATES.index(state) % len(stages)]))
+
+    staged = Ensemble(tuple(parents)).then(stage)
+    if twice:
+        staged = staged.then(stage)
+    table = outcome_table(staged)
+    flattened = outcome_table(Ensemble(staged.branches))
+    runs = [(key, [(repr(w), id(s)) for w, s in group]) for key, group in table.items()]
+    assert runs == [
+        (key, [(repr(w), id(s)) for w, s in group]) for key, group in flattened.items()
+    ]
+    feeders: dict = {}
+    for i, (parent, children) in enumerate(staged._factors()):
+        for b in [parent] if children is None else children:
+            record = b.record if children is None else parent.record + b.record
+            key = ("+".join([e.label for e in record]), b.disposition)
+            feeders.setdefault(key, set()).add(i)
+    event(f"keys fed by more than one parent: {min(sum(len(f) > 1 for f in feeders.values()), 3)}")
