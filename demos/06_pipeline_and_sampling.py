@@ -12,13 +12,13 @@ import math
 
 from clickcz import states
 from clickcz.cli import ExperimentConfig, run
-from clickcz.gadgets import cz_full_pipeline
+from clickcz.gadgets import ancilla_stage, cz_full_pipeline
 
 
 def main():
     psi = states.two_qubit(1, 1j, 1, -1j)
     result = cz_full_pipeline(psi)
-    print(f"ancilla preparation probability: {result.ancilla_probability:.6f} (= 1/8)")
+    print(f"ancilla preparation probability: {ancilla_stage().keep_weight:.6f} (= 1/8)")
     print(f"total pipeline success:          {result.success_probability:.6f} (= 1/32)")
 
     target = states.controlled_phase_of(psi)

@@ -23,7 +23,7 @@ from . import oracle, states
 from .detection import pid
 from .elements import ElementDescriptor, apply_circuit
 from .fock import NORM_TOL, PureState, SimulatorError, _integer
-from .gadgets import B2G_RULES
+from .gadgets import B2G_RULES, ancilla_stage
 
 # Enumerated probabilities are trusted to NORM_TOL (1e-12), not to the last bit.
 _SAMPLING_DECIMALS = 12
@@ -362,8 +362,7 @@ def _probability_outcomes(aggregated: list[tuple[str, str, float]]) -> list[dict
 
 def _gadget_report(config: ExperimentConfig) -> tuple[RunReport, int]:
     input_state = _load_state(config.input_path) if config.input_path else None
-    result = oracle.GADGETS[config.experiment](input_state)
-    table = oracle.outcome_table(result.ensemble)
+    table = oracle.outcome_table(oracle.GADGETS[config.experiment](input_state))
     aggregated = oracle.aggregate_probabilities(table)
     success = sum((p for _, d, p in aggregated if d == "keep"), 0.0)
     kept = [(label, group) for (label, d), group in table.items() if d == "keep"]
@@ -383,7 +382,7 @@ def _gadget_report(config: ExperimentConfig) -> tuple[RunReport, int]:
             0.0,
         )
     elif config.experiment == "pipeline":
-        extras["ancilla_probability"] = result.ancilla_probability
+        extras["ancilla_probability"] = ancilla_stage().keep_weight
 
     if config.mode == "sample":
         extras.update(samples=config.samples, seed=config.seed)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .elements import ElementDescriptor, apply_circuit, apply_pbs, apply_pr, pbs, pr
+from .elements import ElementDescriptor, _check_mode, apply_circuit, pbs, pr
 from .fock import (
     Branch,
     ConsistencyError,
@@ -353,24 +353,29 @@ def apply_feed_forward(ensemble: Ensemble, rules: FeedForwardRule) -> Ensemble:
     return Ensemble(tuple(decided))
 
 
+def _pid_optics(mode: int, fresh: int) -> tuple[ElementDescriptor, ElementDescriptor]:
+    """A PID's optics: ``mode`` rotated by π/4, then its V rail swapped onto ``fresh``."""
+    return pr(mode, math.pi / 4), pbs(mode, fresh)
+
+
 def pid_split(state: PureState, mode: int) -> tuple[PureState, int]:
     """Expand one mode into its two PID detector rails.
 
-    A polarization rotation by π/4 followed by a PBS onto a fresh mode
-    separates the rotated H and V components.  Returns the new state and the
-    index of the fresh V rail (the H rail keeps the original index).
+    ``_pid_optics`` splits the rotated H and V components onto the mode and
+    a fresh vacuum mode. Returns the new state and the index of the fresh V
+    rail (the H rail keeps the original index).
 
-    Sites read ``_PID_CIRCUIT`` instead; this form is read by
-    ``gadgets.ecc_optics``, the property tests and the ``perfbench`` tracer.
+    Sites read ``_PID_CIRCUIT`` instead; this form is read by the property
+    tests and the ``perfbench`` tracer.
     """
-    rotated = apply_pr(state, mode, math.pi / 4)
-    widened = rotated.tensor(PureState.vacuum(1, photon_cap=state.photon_cap))
-    fresh = widened.modes - 1
-    return apply_pbs(widened, mode, fresh), fresh
+    _check_mode(state, mode)
+    fresh = state.modes
+    widened = state.tensor(PureState.vacuum(1, photon_cap=state.photon_cap))
+    return apply_circuit(widened, _pid_optics(mode, fresh)), fresh
 
 
-# ``pid_split`` of mode 0 as a site circuit, the fresh V rail on mode 1.
-_PID_CIRCUIT = _Circuit((pr(0, math.pi / 4), pbs(0, 1)))
+# A PID on mode 0 as a site circuit, the fresh V rail on mode 1.
+_PID_CIRCUIT = _Circuit(_pid_optics(0, 1))
 
 
 def pid(

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from . import states
-from .detection import RuleAction, _Circuit, _readout, _resolve, pid, pid_split
-from .elements import apply_pbs, apply_pdps, apply_pr, bs, pbs, pdps, pr, ps
+from .detection import RuleAction, _Circuit, _pid_optics, _readout, _resolve, pid
+from .elements import apply_pbs, bs, pbs, pdps, pr, ps
 from .fock import Branch, Ensemble, PureState, SimulatorError
 
 PI = math.pi
@@ -75,35 +75,13 @@ def b2g(state: PureState, site: str = "b2g") -> GadgetResult:
 
 # -- error filter on the fragile register modes ---------------------------------
 
-
-def ecc_optics(
-    state: PureState, mode_a: int, mode_b: int
-) -> tuple[PureState, tuple[int, int, int, int]]:
-    """Run the error-filter optics, stopping just before the detectors.
-
-    Both target modes are rotated by π/4, fused on a PBS, and the vertical
-    photons pick up a π/4 phase on each output before the PID rail split.
-    Returns the widened state and the four detector rails in reporting
-    order (H_a, H_b, V_a, V_b).
-
-    Filter sites read ``_ECC_CIRCUIT`` instead; this form is read by tables
-    1 and 2's verification (``oracle._verify_filter_table``) and the tests.
-    """
-    out = apply_pr(state, mode_a, PI / 4)
-    out = apply_pr(out, mode_b, PI / 4)
-    out = apply_pbs(out, mode_a, mode_b)
-    out = apply_pdps(out, mode_a, PI / 4)
-    out = apply_pdps(out, mode_b, PI / 4)
-    out, rail_va = pid_split(out, mode_a)
-    out, rail_vb = pid_split(out, mode_b)
-    return out, (mode_a, mode_b, rail_va, rail_vb)
-
-
 # A PID on each of modes 0 and 1, onto fresh V rails 2 and 3, so a two-mode
 # site reads its rails as (H_0, H_1, V_0, V_1).
-_PID_SPLITS = (pr(0, PI / 4), pbs(0, 2), pr(1, PI / 4), pbs(1, 3))
+_PID_SPLITS = _pid_optics(0, 2) + _pid_optics(1, 3)
 
-# ``ecc_optics`` on modes (0, 1) as a site circuit.
+# The error filter's optics on modes (0, 1), up to its detectors: a π/4
+# rotation of each, a PBS, a π/4 phase on each output's V photons, then a PID
+# on each. Tables 1 and 2 pin its image of each filter input.
 _ECC_CIRCUIT = _Circuit(
     (pr(0, PI / 4), pr(1, PI / 4), pbs(0, 1), pdps(0, PI / 4), pdps(1, PI / 4)) + _PID_SPLITS
 )
@@ -125,9 +103,9 @@ def ecc(state: PureState, mode_a: int, mode_b: int) -> Ensemble:
     filter, so it can never produce two clicks; silence on all four rails
     is the unique double-damage signature.
 
-    ``g2a`` reads the filter itself (``G2A_RULES``); this entry point is read
-    by table 3's verification (``oracle._verify_table3``), demo 04 and the
-    ``perfbench`` tracer.
+    The optics are ``_ECC_CIRCUIT``. ``g2a`` reads the same filter itself
+    (``G2A_RULES``); this entry point is read by table 3's verification
+    (``oracle._verify_table3``), demo 04 and the ``perfbench`` tracer.
     """
     site = _resolve(((mode_a, mode_b), _ECC_CIRCUIT, "ecc"), state.modes)
     return _readout(state, (site,), ECC_RULES)
@@ -274,37 +252,29 @@ def cz_gate(input_state: PureState, ancilla: PureState | None = None) -> GadgetR
 # -- the whole pipeline ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PipelineResult(GadgetResult):
-    """Controlled-phase pipeline outcome with the ancilla stage broken out."""
-
-    # probability that four Bell pairs yielded the gate ancilla
-    ancilla_probability: float
-
-
 @functools.cache
-def _ancilla_stage() -> Ensemble:
+def ancilla_stage() -> Ensemble:
     """Two Bell-to-GHZ runs and the ancilla conversion: every branch of the
-    ancilla stage, kept or not.
+    ancilla stage, kept or not. Its ``keep_weight`` is the paper's ancilla
+    rate, 1/8.
 
-    It reads no input, so it is built on the first pipeline call, not at
-    import, and that one ensemble of immutable branches serves every call.
+    It reads no input, so it is built on the first call, not at import, and
+    that one ensemble of immutable branches serves every pipeline call.
     """
     pairs = states.bell_phi_plus().tensor(states.bell_phi_plus())
     first, second = (b2g(pairs, site=site).ensemble for site in ("b2g1", "b2g2"))
     return g2a(first.combine(second)).ensemble
 
 
-def cz_full_pipeline(input_state: PureState) -> PipelineResult:
+def cz_full_pipeline(input_state: PureState) -> GadgetResult:
     """Compose two Bell-to-GHZ runs, the ancilla conversion, and the gate.
 
     Returns every branch of the whole tree: failed conversions keep their
     partial records, successes end in the exact controlled-phase image of
     the input. Only the gate reads the input; the stage before it is built
-    once per process (``_ancilla_stage``).
+    once per process (``ancilla_stage``), which also gives its rate.
     """
     _require_qubits(input_state, 2, "controlled-phase input")
     _require_normalized(input_state, "controlled-phase input")
-    converted = _ancilla_stage()
-    gated = converted.then(lambda ancilla: cz_gate(input_state, ancilla=ancilla).ensemble)
-    return PipelineResult(gated, ancilla_probability=converted.keep_weight)
+    gated = ancilla_stage().then(lambda ancilla: cz_gate(input_state, ancilla=ancilla).ensemble)
+    return GadgetResult(gated)

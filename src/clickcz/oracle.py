@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import states, tables
 from .fock import NORM_TOL, Branch, Ensemble, FockVector, ModeMismatchError, PureState
-from .gadgets import GadgetResult, a2c, b2g, cz_gate, cz_full_pipeline, ecc_optics, ecc, g2a
+from .gadgets import _ECC_CIRCUIT, a2c, b2g, cz_gate, cz_full_pipeline, ecc, g2a
 
 if TYPE_CHECKING:
     import numpy as np
@@ -124,14 +124,16 @@ def _default_cz_input() -> PureState:
     return states.product_two_qubit((1, 1), (1, 1))
 
 
-GADGETS: dict[str, Callable[[PureState | None], GadgetResult]] = {
-    "b2g": lambda s: b2g(s if s is not None else states.bell_phi_plus().tensor(states.bell_phi_plus())),
-    "g2a": lambda s: g2a(s if s is not None else states.ghz_plus().tensor(states.ghz_plus())),
-    "a2c": lambda s: GadgetResult(
-        a2c(s if s is not None else states.basis_two_qubit("HH"), 0, 1)
-    ),
-    "cz": lambda s: cz_gate(s if s is not None else _default_cz_input()),
-    "pipeline": lambda s: cz_full_pipeline(s if s is not None else _default_cz_input()),
+GADGETS: dict[str, Callable[[PureState | None], Ensemble]] = {
+    "b2g": lambda s: b2g(
+        s if s is not None else states.bell_phi_plus().tensor(states.bell_phi_plus())
+    ).ensemble,
+    "g2a": lambda s: g2a(
+        s if s is not None else states.ghz_plus().tensor(states.ghz_plus())
+    ).ensemble,
+    "a2c": lambda s: a2c(s if s is not None else states.basis_two_qubit("HH"), 0, 1),
+    "cz": lambda s: cz_gate(s if s is not None else _default_cz_input()).ensemble,
+    "pipeline": lambda s: cz_full_pipeline(s if s is not None else _default_cz_input()).ensemble,
 }
 
 
@@ -145,7 +147,7 @@ def enumerate_exact(gadget: str, input_state: PureState | None = None) -> list[B
     if gadget not in GADGETS:
         raise ValueError(f"unknown gadget {gadget!r}; expected one of {sorted(GADGETS)}")
     return sorted(
-        GADGETS[gadget](input_state).ensemble.branches,
+        GADGETS[gadget](input_state).branches,
         key=lambda b: (b.label, b.disposition, -b.weight, tuple(sorted(b.state._amps))),
     )
 
@@ -337,11 +339,11 @@ def match_up_to_phase(
 
 
 def _verify_filter_table(table_id: int, goldens: Mapping[str, Mapping]) -> TableReport:
-    """Tables 1 and 2: the error filter's pre-detection output per input key."""
+    """Tables 1 and 2: the error filter's pre-detection output per input key,
+    read from ``_ECC_CIRCUIT`` on the input padded with its two fresh V rails."""
     rows = []
     for key, golden in goldens.items():
-        pre, rail_order = ecc_optics(PureState(2, {states._ket(key): 1.0}), 0, 1)
-        assert rail_order == (0, 1, 2, 3)
+        pre = _ECC_CIRCUIT.apply(PureState(4, {states._ket(key + "00"): 1.0}))
         ok, dev, _ = match_up_to_phase(pre, golden)
         rows.append(RowReport(key, ok, dev))
     return TableReport(table_id, tuple(rows))

@@ -11,7 +11,7 @@ from clickcz.cli import ExperimentConfig, main, run
 from clickcz.detection import pid
 from clickcz.elements import apply_element, bs, pbs, pdps, pr, ps
 from clickcz.fock import PureState
-from clickcz.gadgets import B2G_RULES, a2c, b2g, cz_full_pipeline, cz_gate, ecc, g2a
+from clickcz.gadgets import B2G_RULES, a2c, ancilla_stage, b2g, cz_full_pipeline, cz_gate, ecc, g2a
 from clickcz.oracle import (
     density_of,
     density_distance,
@@ -122,7 +122,7 @@ def test_criterion_5_controlled_phase_correctness():
 def test_criterion_6_pipeline_probabilities():
     psi = states.product_two_qubit((1, 1), (1, 1))
     result = cz_full_pipeline(psi)
-    assert abs(result.ancilla_probability - 1 / 8) <= TOL
+    assert abs(ancilla_stage().keep_weight - 1 / 8) <= TOL
     assert abs(result.success_probability - 1 / 32) <= TOL
     target = states.controlled_phase_of(psi)
     for branch in result.success_branches():

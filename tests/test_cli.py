@@ -329,7 +329,7 @@ class TestSampling:
         # The paper's exact fractions put floor((n + 1) p) of the binomial
         # draws on an integer; a few ulps on one probability must not move
         # a count.
-        table = oracle.outcome_table(oracle.GADGETS["cz"](None).ensemble)
+        table = oracle.outcome_table(oracle.GADGETS["cz"](None))
         rows = oracle.aggregate_probabilities(table)
         base = _sample_outcomes(rows, 100_000, 20240803)
         for i, (label, disposition, p) in enumerate(rows):
@@ -416,7 +416,7 @@ class TestReportWriter:
 
     @pytest.mark.parametrize("experiment", list(oracle.GADGETS))
     def test_outcome_rows_order_unchanged(self, experiment):
-        ensemble = oracle.GADGETS[experiment](None).ensemble
+        ensemble = oracle.GADGETS[experiment](None)
         reference = sorted(
             ensemble.branches,
             key=lambda b: (

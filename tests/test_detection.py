@@ -163,6 +163,13 @@ class TestPidSplit:
         assert out.amplitude((H, E)) == pytest.approx(-1 / math.sqrt(2))
         assert out.amplitude((E, V)) == pytest.approx(1 / math.sqrt(2))
 
+    @pytest.mark.parametrize("mode", [2, -1, 5])
+    def test_mode_out_of_range_is_checked_before_widening(self, mode):
+        # the widened state has a mode 2, so only the input's width can refuse it
+        state = PureState(2, {(H, V): 1.0})
+        with pytest.raises(ValueError, match=f"^mode {mode} out of range for 2-mode state$"):
+            pid_split(state, mode)
+
 
 NO_OP_RULES = {
     "Hn0": RuleAction(),

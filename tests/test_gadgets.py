@@ -16,7 +16,6 @@ from clickcz.gadgets import (
     cz_full_pipeline,
     cz_gate,
     ecc,
-    ecc_optics,
     g2a,
 )
 from clickcz import states
@@ -86,9 +85,8 @@ class TestB2G:
 class TestErrorFilter:
     def test_single_photon_rows_match_reference(self):
         # spot-check one row; the full table runs in the oracle tests
-        psi = PureState(2, {(E, H): 1.0})
-        pre, rails = ecc_optics(psi, 0, 1)
-        assert rails == (0, 1, 2, 3)
+        # the filter's optics on the input padded with its fresh V rails
+        pre = gadgets._ECC_CIRCUIT.apply(PureState(4, {(E, H, E, E): 1.0}))
         omega = cmath.exp(1j * math.pi / 4)
         assert pre.amplitude((E, H, E, E)) == pytest.approx(0.5)
         assert pre.amplitude((H, E, E, E)) == pytest.approx(-0.5 * omega)
@@ -311,7 +309,7 @@ class TestControlledPhase:
 class TestPipeline:
     def test_probability_decomposition(self):
         result = cz_full_pipeline(states.product_two_qubit((1, 1), (1, 1)))
-        assert result.ancilla_probability == pytest.approx(0.125, abs=TOL)
+        assert gadgets.ancilla_stage().keep_weight == pytest.approx(0.125, abs=TOL)
         assert result.success_probability == pytest.approx(1 / 32, abs=TOL)
         assert result.ensemble.total_weight == pytest.approx(1.0, abs=TOL)
 
@@ -485,7 +483,7 @@ class TestOneStagingHelper:
 
     def test_gate_readout_and_pipeline_then(self, monkeypatch):
         # whichever pipeline call comes first builds the ancilla stage
-        gadgets._ancilla_stage()
+        gadgets.ancilla_stage()
         reads = _counting(monkeypatch, detection, "_read")
         runs = self._counting_then(monkeypatch)
         psi = states.two_qubit(1, 1j, -1, 0.5)
@@ -505,7 +503,7 @@ class TestOneStagingHelper:
         reads = _counting(monkeypatch, detection, "_read")
         runs = self._counting_then(monkeypatch)
         # the stage's own body, past its cache
-        stage = gadgets._ancilla_stage.__wrapped__()
+        stage = gadgets.ancilla_stage.__wrapped__()
         # one B2G readout per register, one filter per distinct register state
         assert len(reads) == 2 + 4
         assert runs == ["convert"] * 4
@@ -525,8 +523,8 @@ class TestSharedAncillaStage:
 
         def fresh_process_stage():
             # an empty cache of the stage's own, as in a process that has run no pipeline
-            fresh = functools.cache(gadgets._ancilla_stage.__wrapped__)
-            monkeypatch.setattr(gadgets, "_ancilla_stage", fresh)
+            fresh = functools.cache(gadgets.ancilla_stage.__wrapped__)
+            monkeypatch.setattr(gadgets, "ancilla_stage", fresh)
 
         fresh_process_stage()
         alone = _exact(cz_full_pipeline(second).ensemble)
@@ -535,13 +533,13 @@ class TestSharedAncillaStage:
         assert _exact(cz_full_pipeline(second).ensemble) == alone
 
     def test_results_share_the_stage_branches(self):
-        stage = gadgets._ancilla_stage()
+        stage = gadgets.ancilla_stage()
         before = _exact(stage)
         results = [
             cz_full_pipeline(psi).ensemble
             for psi in (states.basis_two_qubit("HV"), states.two_qubit(1, 1j, -1, 0.5))
         ]
-        assert gadgets._ancilla_stage() is stage
+        assert gadgets.ancilla_stage() is stage
         # the stage's discards pass through ``then`` as the same objects
         discarded = [b for b in stage.branches if b.disposition == "discard"]
         assert len(discarded) == 77 - 16

@@ -126,7 +126,7 @@ class TestAggregation:
 
     @pytest.mark.parametrize("gadget", ["cz", "pipeline"])
     def test_equals_a_dict_reference(self, gadget):
-        ensemble = GADGETS[gadget](None).ensemble
+        ensemble = GADGETS[gadget](None)
         table = outcome_table(ensemble)
         got = aggregate_probabilities(table)
         rows = [(*key, weight) for key, group in table.items() for weight, _ in group]
@@ -187,7 +187,7 @@ class TestOutcomeTable:
 
     @pytest.mark.parametrize("gadget", sorted(GADGETS))
     def test_enumeration_is_the_flattened_table(self, gadget):
-        table = outcome_table(GADGETS[gadget](None).ensemble)
+        table = outcome_table(GADGETS[gadget](None))
         rows = enumerate_exact(gadget)
         assert all(isinstance(b, Branch) for b in rows)
         assert [(b.label, b.disposition, b.weight, b.state.items()) for b in rows] == [
@@ -217,7 +217,7 @@ class TestStagedOutcomeTable:
         return lambda state: Ensemble(branches)
 
     def test_pipeline(self):
-        ensemble = GADGETS["pipeline"](None).ensemble
+        ensemble = GADGETS["pipeline"](None)
         table = self._same_as_flattened(ensemble)
         assert sum(map(len, table.values())) == len(ensemble.branches)
 

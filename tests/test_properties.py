@@ -1,6 +1,8 @@
 """Property suite: invariants that must hold for arbitrary states/elements."""
 
 import cmath
+import functools
+import itertools
 import json
 import math
 import re
@@ -17,6 +19,9 @@ from clickcz.elements import (
     apply_bs,
     apply_circuit,
     apply_element,
+    apply_pbs,
+    apply_pdps,
+    apply_pr,
     bs,
     pbs,
     pdps,
@@ -282,8 +287,13 @@ def _pid_reference(state, modes, site):
 
 
 def _ecc_reference(state, modes, site):
-    pre, rails = gadgets.ecc_optics(state, *modes)
-    return measure_nr(pre, rails, site)
+    mode_a, mode_b = modes
+    pre = apply_pr(apply_pr(state, mode_a, math.pi / 4), mode_b, math.pi / 4)
+    pre = apply_pbs(pre, mode_a, mode_b)
+    pre = apply_pdps(apply_pdps(pre, mode_a, math.pi / 4), mode_b, math.pi / 4)
+    split, rail_va = pid_split(pre, mode_a)
+    split, rail_vb = pid_split(split, mode_b)
+    return measure_nr(split, (mode_a, mode_b, rail_va, rail_vb), site)
 
 
 def _a2c_reference(state, modes, site):
@@ -294,8 +304,8 @@ def _a2c_reference(state, modes, site):
 
 
 # Each site's circuit, its number of measured modes, and the
-# site's optics written independently as element calls on the whole state
-# (``pid_split``, ``ecc_optics``) followed by ``measure_nr``.
+# site's optics written independently as kernel calls on the whole state,
+# each PID as ``pid_split``, followed by ``measure_nr``.
 READOUT_SITES = {
     "pid": (detection._PID_CIRCUIT, 1, _pid_reference),
     "ecc": (gadgets._ECC_CIRCUIT, 2, _ecc_reference),
@@ -453,6 +463,111 @@ def test_deciding_readout_matches_composition(first, data, psi):
         assert mine.state._amps.keys() == ref.state._amps.keys()
         for vec, amp in ref.state._amps.items():
             assert abs(mine.state._amps[vec] - amp) <= 1e-15
+
+
+# -- permanents: an oracle for multi-photon optics ------------------------------------
+
+
+def _rail_matrix(elements, modes):
+    """The circuit's linear map of the 2·modes rails, rail 2·mode + pol (pol 0
+    for H, 1 for V): column r is the image of rail r's creation operator.
+
+    Each element's 2×2 rail map is written here as the ``elements`` module
+    docstring states it, on the (first, second) rail pair it acts on.
+    """
+    u = np.eye(2 * modes, dtype=complex)
+    for e in elements:
+        h, v = 2 * e.targets[0], 2 * e.targets[0] + 1
+        if e.kind == "PR":
+            c, s = math.cos(e.theta), math.sin(e.theta)
+            maps = [((h, v), ((c, -s), (s, c)))]
+        elif e.kind == "PS":
+            phase = cmath.exp(1j * e.phi)
+            maps = [((h, v), ((phase, 0), (0, phase)))]
+        elif e.kind == "PDPS":
+            maps = [((h, v), ((1, 0), (0, cmath.exp(1j * e.phi))))]
+        elif e.kind == "PBS":
+            maps = [((v, 2 * e.targets[1] + 1), ((0, 1), (1, 0)))]
+        else:
+            r = 1 / math.sqrt(2)
+            h_b, v_b = 2 * e.targets[1], 2 * e.targets[1] + 1
+            maps = [((h, h_b), ((r, r), (r, -r))), ((v, v_b), ((r, r), (r, -r)))]
+        step = np.eye(2 * modes, dtype=complex)
+        for (i, j), ((m00, m01), (m10, m11)) in maps:
+            step[i, i], step[i, j], step[j, i], step[j, j] = m00, m01, m10, m11
+        u = step @ u
+    return u
+
+
+@functools.cache
+def _subsets(k):
+    """Every column subset of a k×k matrix as a 0/1 row, and its Ryser sign."""
+    rows = np.array(list(itertools.product((0, 1), repeat=k)), dtype=float).reshape(2**k, k)
+    return rows.T, (-1.0) ** (k - rows.sum(axis=1))
+
+
+def _permanent(a):
+    """Ryser's formula: Σ over column subsets S of (−1)^(k−|S|) ∏_i Σ_{j∈S} a_ij."""
+    columns, signs = _subsets(len(a))
+    return complex(np.sum(signs * np.prod(a @ columns, axis=0)))
+
+
+def _rails(vec):
+    return [n for occ in vec for n in occ]
+
+
+def _fock_vectors(modes, photons):
+    """Every occupancy of ``modes`` modes holding ``photons`` photons."""
+    for combo in itertools.combinations_with_replacement(range(2 * modes), photons):
+        counts = [combo.count(r) for r in range(2 * modes)]
+        yield tuple(zip(counts[::2], counts[1::2]))
+
+
+def _transition(u, out, inp):
+    """⟨out|U|inp⟩ = Perm(U with rail j's row taken out_j times and rail i's
+    column inp_i times) / √(∏ inp_i! ∏ out_j!)."""
+    rows = [r for r, n in enumerate(_rails(out)) for _ in range(n)]
+    cols = [r for r, n in enumerate(_rails(inp)) for _ in range(n)]
+    norm = math.prod(math.factorial(n) for n in _rails(out) + _rails(inp))
+    return _permanent(u[np.ix_(rows, cols)]) / math.sqrt(norm)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_apply_circuit_matches_permanents(data):
+    modes = data.draw(st.integers(2, 4))
+    elements = data.draw(st.lists(elements_for(modes), min_size=1, max_size=8))
+    amps = {}
+    for photons in data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        vec = data.draw(st.sampled_from(list(_fock_vectors(modes, photons))))
+        amps[vec] = data.draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=1))
+    state = PureState(modes, amps).normalized()
+    assert state.photon_cap == DEFAULT_PHOTON_CAP
+    u = _rail_matrix(elements, modes)
+    expected = {}
+    for inp, amp in state.items():
+        for out in _fock_vectors(modes, sum(_rails(inp))):
+            expected[out] = expected.get(out, 0j) + amp * _transition(u, out, inp)
+    got = apply_circuit(state, elements)
+    for vec in set(expected) | {v for v, _ in got.items()}:
+        assert abs(got.amplitude(vec) - expected.get(vec, 0j)) <= TOL
+
+
+@pytest.mark.parametrize(
+    "circuit, measured",
+    [(detection._PID_CIRCUIT, 1), (gadgets._ECC_CIRCUIT, 2), (gadgets._A2C_CIRCUIT, 2)],
+    ids=["pid", "ecc", "a2c"],
+)
+def test_site_tables_match_permanents(circuit, measured):
+    # every head of up to four photons, padded with vacuum to the span
+    span = 1 + max(t for e in circuit.elements for t in e.targets)
+    u = _rail_matrix(circuit.elements, span)
+    for photons in range(5):
+        for head in _fock_vectors(measured, photons):
+            image = dict(circuit.image(head))
+            padded = head + ((0, 0),) * (span - measured)
+            for out in _fock_vectors(span, photons):
+                assert abs(image.get(out, 0j) - _transition(u, out, padded)) <= TOL
 
 
 # -- report writer -----------------------------------------------------------------
